@@ -155,27 +155,14 @@ def backward(state: EncoderState, cache, dl_du: np.ndarray):
     return (weight_grads, bias_grads), delta
 
 
-def sgd_step(state: EncoderState, grads, lr: float, weight_decay: float = 0.0) -> EncoderState:
-    """One descent step: params - lr * (grads + weight_decay * params)."""
-    if lr <= 0:
-        raise ValueError(f"lr must be > 0, got {lr}")
-    if weight_decay < 0:
-        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    weight_grads, bias_grads = grads
-    for g in (*weight_grads, *bias_grads):
-        if not np.isfinite(g).all():
-            raise NumericalError("refusing SGD step: non-finite gradient")
-    new = EncoderState(activations=list(state.activations))
-    for w, b, gw, gb in zip(state.weights, state.biases, weight_grads, bias_grads):
-        new.weights.append(w - lr * (gw + weight_decay * w))
-        new.biases.append(b - lr * (gb + weight_decay * b))
-    return new
-
-
 class SGD:
     """Minibatch SGD with optional classical momentum (0 = plain)."""
 
     def __init__(self, lr: float, weight_decay: float = 0.0, momentum: float = 0.0):
+        if lr <= 0:
+            raise ValueError(f"lr must be > 0, got {lr}")
+        if weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
@@ -184,8 +171,7 @@ class SGD:
         self._velocity = None
 
     def step(self, state: EncoderState, grads) -> EncoderState:
-        if self.momentum == 0.0:
-            return sgd_step(state, grads, self.lr, self.weight_decay)
+        """params - lr * v with v = momentum * v + grads + weight_decay * params."""
         weight_grads, bias_grads = grads
         for g in (*weight_grads, *bias_grads):
             if not np.isfinite(g).all():

@@ -7,9 +7,13 @@ by a margin m:
     loss_similar(D)    = log(1 + exp(D + m))
     loss_dissimilar(D) = log(1 + exp(-D + m))
 
-with D(u_i, u_j) = -1/2 <u_i, u_j>.  A weighted squared discrepancy
-psi * sum_i ||u_i - b_i||^2 ties the continuous columns to their binary
-codes.  m = 0 recovers the plain pairwise logistic loss.
+with D(u_i, u_j) = -1/2 <u_i, u_j>.  Over a whole batch both are one
+formula on the Gram matrix D = -1/2 U'U and a pair-sign matrix S (+1
+similar, -1 dissimilar, 0 not a pair): the loss is the sum of
+softplus(S*D + m) over the nonzero entries of S, and for symmetric S the
+gradient in U is U @ (-1/2 S * sigma(S*D + m)).  A weighted squared
+discrepancy psi * sum_i ||u_i - b_i||^2 ties the continuous columns to
+their binary codes.  m = 0 recovers the plain pairwise logistic loss.
 """
 
 from __future__ import annotations
@@ -25,17 +29,6 @@ def softplus(x):
     """log(1 + exp(x)) without overflow for large |x|."""
     x = np.asarray(x, dtype=np.float64)
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return out if out.ndim else float(out)
-
-
-def sigmoid(x):
-    """Logistic function, evaluated on the stable branch per sign."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
     return out if out.ndim else float(out)
 
 
@@ -140,48 +133,92 @@ def _dense_codes(b, k: int, n: int) -> np.ndarray:
     return dense
 
 
-def _pair_dissimilarities(u: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    return -0.5 * np.einsum("kp,kp->p", u[:, pairs[:, 0]], u[:, pairs[:, 1]])
+def sign_matrix(pairs, n: int) -> np.ndarray:
+    """Symmetric N x N pair-sign matrix of PairSets or of a given matrix.
+
+    +1 marks a similar pair, -1 a dissimilar pair and 0 no pair,
+    including the diagonal.  A matrix passed in is checked, not copied.
+    """
+    if isinstance(pairs, PairSets):
+        pairs.validate_against(n)
+        s = np.zeros((n, n))
+        s[pairs.similar[:, 0], pairs.similar[:, 1]] = 1.0
+        s[pairs.similar[:, 1], pairs.similar[:, 0]] = 1.0
+        s[pairs.dissimilar[:, 0], pairs.dissimilar[:, 1]] = -1.0
+        s[pairs.dissimilar[:, 1], pairs.dissimilar[:, 0]] = -1.0
+        return s
+    s = np.asarray(pairs, dtype=np.float64)
+    if s.shape != (n, n):
+        raise ValueError(f"sign matrix shape {s.shape} does not match ({n}, {n})")
+    if not np.isin(s, (-1.0, 0.0, 1.0)).all() or (s != s.T).any() or s.diagonal().any():
+        raise ValueError("sign matrix must be symmetric with entries in {-1, 0, 1} and a zero diagonal")
+    return s
 
 
-def pair_objective(u: np.ndarray, b, pairs: PairSets, params: MarginParams) -> float:
-    """Sum of pair losses on u plus psi * sum_i ||u_i - b_i||^2."""
+def _pair_kernel(d: np.ndarray, s: np.ndarray, m: float):
+    """Loss and gradient coefficients of the pairs marked in s.
+
+    d holds dissimilarities -1/2 <u_i, u_j> and s the matching signs.
+    Returns (sum of softplus(s*d + m) where s != 0, -1/2 s * sigma(s*d + m));
+    softplus and sigma share exp(-|z|) and take the stable branch per sign.
+    """
+    z = s * d + m
+    e = np.exp(-np.abs(z))
+    loss = float(((np.maximum(z, 0.0) + np.log1p(e)) * np.abs(s)).sum())
+    coef = -0.5 * s * np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return loss, coef
+
+
+def pair_objective(u: np.ndarray, b, pairs, params: MarginParams) -> float:
+    """Sum of pair losses on u plus psi * sum_i ||u_i - b_i||^2; pairs as in sign_matrix."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError(f"expected K x N representations, got shape {u.shape}")
-    pairs.validate_against(u.shape[1])
     bd = _dense_codes(b, *u.shape)
-    total = params.psi * float(((u - bd) ** 2).sum())
-    if len(pairs.similar):
-        total += float(loss_similar(_pair_dissimilarities(u, pairs.similar), params.m).sum())
-    if len(pairs.dissimilar):
-        total += float(loss_dissimilar(_pair_dissimilarities(u, pairs.dissimilar), params.m).sum())
-    return total
+    s = np.triu(sign_matrix(pairs, u.shape[1]), 1)
+    d = -0.5 * (u.T @ u)
+    _check_finite(d, params.m)
+    loss, _ = _pair_kernel(d, s, params.m)
+    return params.psi * float(((u - bd) ** 2).sum()) + loss
 
 
-def pair_gradient(u: np.ndarray, b, pairs: PairSets, params: MarginParams) -> np.ndarray:
+def pair_gradient(u: np.ndarray, b, pairs, params: MarginParams) -> np.ndarray:
     """Gradient of pair_objective with respect to u, shaped like u.
 
     A similar pair (i, j) contributes -1/2 sigma(D_ij + m) u_j to
     column i (and symmetrically to column j); a dissimilar pair
     contributes +1/2 sigma(-D_ij + m) u_j.  The discrepancy term adds
-    2 psi (u_i - b_i) per column.
+    2 psi (u_i - b_i) per column.  pairs as in sign_matrix.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError(f"expected K x N representations, got shape {u.shape}")
-    pairs.validate_against(u.shape[1])
     bd = _dense_codes(b, *u.shape)
-    grad_t = 2.0 * params.psi * (u - bd).T.copy()
-    ut = u.T
-    if len(pairs.similar):
-        ii, jj = pairs.similar[:, 0], pairs.similar[:, 1]
-        coef = -0.5 * sigmoid(_pair_dissimilarities(u, pairs.similar) + params.m)
-        np.add.at(grad_t, ii, coef[:, None] * ut[jj])
-        np.add.at(grad_t, jj, coef[:, None] * ut[ii])
-    if len(pairs.dissimilar):
-        ii, jj = pairs.dissimilar[:, 0], pairs.dissimilar[:, 1]
-        coef = 0.5 * sigmoid(-_pair_dissimilarities(u, pairs.dissimilar) + params.m)
-        np.add.at(grad_t, ii, coef[:, None] * ut[jj])
-        np.add.at(grad_t, jj, coef[:, None] * ut[ii])
-    return grad_t.T.copy()
+    s = sign_matrix(pairs, u.shape[1])
+    _, coef = _pair_kernel(-0.5 * (u.T @ u), s, params.m)
+    return 2.0 * params.psi * (u - bd) + u @ coef
+
+
+def pair_loss_full(u: np.ndarray, label_sets, margin: float, block: int = 256) -> float:
+    """Sum of pair losses over all unordered pairs, without
+    materializing the pair sets (upper-triangle Gram blocks).
+
+    At the default block the kernel's float64 temporaries (512 KB each)
+    stay in cache; 1024 x 1024 blocks ran about 1.5x slower at N = 4500
+    on a 2-vCPU Xeon VM with 2 MB of L2 per core.
+    """
+    n = u.shape[1]
+    classes = sorted({c for labels in label_sets for c in labels})
+    ind = np.array([[c in labels for c in classes] for labels in label_sets])
+    total = 0.0
+    for bi in range(0, n, block):
+        ei = min(bi + block, n)
+        for bj in range(bi, n, block):
+            ej = min(bj + block, n)
+            d = -0.5 * (u[:, bi:ei].T @ u[:, bj:ej])
+            _check_finite(d, margin)
+            s = np.where(ind[bi:ei] @ ind[bj:ej].T, 1.0, -1.0)
+            if bi == bj:
+                s = np.triu(s, 1)
+            total += _pair_kernel(d, s, margin)[0]
+    return total

@@ -12,8 +12,10 @@ artifacts.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,8 @@ from .centers import CenterHyper, init_centers, target_matrix, update_centers, u
 from .datasets import Dataset
 from .evaluation import metrics_report
 from .exceptions import NumericalError
-from .pairwise import MarginParams, PairSets, loss_dissimilar, loss_similar, pair_gradient, pair_objective
+from .pairwise import MarginParams, loss_dissimilar, loss_similar, pair_loss_full
+from .pairwise import pair_gradient, pair_objective, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,18 @@ class HyperParams:
     center_inner_lr: float = 1e-2
     center_inner_steps: int = 20
     center_rounds: int = 3
-    reinit_centers_each_epoch: bool = False
-    # Run one discrete phase on the untrained encoder output, so the
-    # first continuous pass already pulls toward center-shaped codes.
-    # Off by default: the baseline behavior quantizes the first epoch's
-    # targets directly from the initial representations.
-    warm_start_centers: bool = False
 
     def __post_init__(self):
+        # Config files reach here through json, which also yields bools,
+        # fractional numbers where counts belong, NaN and Infinity.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
         if self.epochs < 0:
@@ -164,7 +171,7 @@ class TrainReport:
         }
 
 
-def joint_objective(u, b, c, y, pairs: PairSets, hp: HyperParams):
+def joint_objective(u, b, c, y, pairs, hp: HyperParams):
     """Weighted sum of the four objective blocks on explicit inputs.
 
     Returns (total, components); the components are the raw block
@@ -185,38 +192,10 @@ def joint_objective(u, b, c, y, pairs: PairSets, hp: HyperParams):
     return total, components
 
 
-def pair_loss_full(u: np.ndarray, label_sets, margin: float, block: int = 1024) -> float:
-    """Sum of pair losses over all unordered pairs, without
-    materializing the pair sets (blocked Gram computation)."""
-    n = u.shape[1]
-    classes = sorted({c for s in label_sets for c in s})
-    ind = np.zeros((n, len(classes)), dtype=bool)
-    pos = {c: i for i, c in enumerate(classes)}
-    for i, s in enumerate(label_sets):
-        ind[i, [pos[c] for c in s]] = True
-    total = 0.0
-    for bi in range(0, n, block):
-        ei = min(bi + block, n)
-        for bj in range(bi, n, block):
-            ej = min(bj + block, n)
-            d = -0.5 * (u[:, bi:ei].T @ u[:, bj:ej])
-            sim = ind[bi:ei] @ ind[bj:ej].T
-            if bi == bj:
-                upper = np.triu(np.ones_like(sim, dtype=bool), k=1)
-            else:
-                upper = np.ones_like(sim, dtype=bool)
-            s_mask = sim & upper
-            d_mask = ~sim & upper
-            if s_mask.any():
-                total += float(loss_similar(d[s_mask], margin).sum())
-            if d_mask.any():
-                total += float(loss_dissimilar(d[d_mask], margin).sum())
-    return total
-
-
-def continuous_step_gradient(u: np.ndarray, b, pairs: PairSets, hp: HyperParams) -> np.ndarray:
+def continuous_step_gradient(u: np.ndarray, b, pairs, hp: HyperParams) -> np.ndarray:
     """Gradient in U for one minibatch of the continuous phase.
 
+    pairs is a PairSets or a sign matrix (see pairwise.sign_matrix).
     Pair losses are averaged over the pair count and the quantization
     pull over the item count, decoupling the step size from the batch
     size; with mu = nu = 0 and margin 0 this is exactly the classical
@@ -225,11 +204,10 @@ def continuous_step_gradient(u: np.ndarray, b, pairs: PairSets, hp: HyperParams)
     n = u.shape[1]
     bd = b.dense(np.float64) if isinstance(b, BinaryCodeMatrix) else np.asarray(b, dtype=np.float64)
     grad = 2.0 * (u - bd) / n
-    if hp.use_pair and pairs.count:
-        pair_part = pair_gradient(
-            u, bd, pairs, MarginParams(m=hp.effective_margin, psi=0.0)
-        )
-        grad = grad + hp.phi * pair_part / pairs.count
+    s = sign_matrix(pairs, n)
+    if hp.use_pair and s.any():
+        pair_part = pair_gradient(u, bd, s, MarginParams(m=hp.effective_margin, psi=0.0))
+        grad = grad + hp.phi * pair_part / (np.count_nonzero(s) // 2)
     return grad
 
 
@@ -281,10 +259,7 @@ def train(
 
     u_full, _ = encoder_mod.forward(state, x)
     b = BinaryCodeMatrix.from_values(u_full)
-    c = None
     v = None
-    if hp.warm_start_centers and hp.epochs > 0:
-        b, c, v = _discrete_phase(u_full, y, v, hp, a)
     report = TrainReport(config_hash=config_hash)
 
     for epoch in range(hp.epochs):
@@ -293,8 +268,11 @@ def train(
         for start in range(0, n, hp.batch_size):
             idx = perm[start : start + hp.batch_size]
             u_batch, cache = encoder_mod.forward(state, x[:, idx])
-            pairs = PairSets.all_pairs_from_label_sets([label_sets[i] for i in idx])
-            du = continuous_step_gradient(u_batch, b_dense[:, idx], pairs, hp)
+            # y has positive entries only: items share a label iff their product is > 0.
+            y_batch = y[:, idx]
+            s = np.where(y_batch.T @ y_batch > 0, 1.0, -1.0)
+            np.fill_diagonal(s, 0.0)
+            du = continuous_step_gradient(u_batch, b_dense[:, idx], s, hp)
             if not np.isfinite(du).all():
                 raise NumericalError(
                     f"non-finite loss gradient at epoch {epoch}, batch {start // hp.batch_size}"
@@ -303,8 +281,6 @@ def train(
             state = opt.step(state, grads)
 
         u_full, _ = encoder_mod.forward(state, x)
-        if hp.reinit_centers_each_epoch:
-            v = None
         b, c, v = _discrete_phase(u_full, y, v, hp, a)
 
         pair = pair_loss_full(u_full, label_sets, hp.effective_margin)
@@ -325,7 +301,6 @@ def train(
 
     if hp.epochs == 0:
         # Degenerate run: codes are the sign pattern of the untrained encoder.
-        b = BinaryCodeMatrix.from_values(u_full)
         c, v = _initial_centers_for_report(u_full, y)
     train_metrics = metrics_report(
         b, b, label_sets, label_sets, ks=[b.n], num_classes=dataset.num_classes

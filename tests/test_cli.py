@@ -97,6 +97,20 @@ class TestTrainCommand:
         assert err["error"] == "config"
         assert "batch_size" in err["message"]
 
+    @pytest.mark.parametrize("probe", [
+        {"bits": 4.5},
+        {"epochs": True},
+        {"lr": float("nan")},
+        {"phi": float("inf")},
+        {"warm_start_centers": True},
+        {"reinit_centers_each_epoch": True},
+    ], ids=["fractional-bits", "bool-epochs", "nan-lr", "inf-phi",
+            "removed-warm-start", "removed-reinit"])
+    def test_malformed_hyper_value_exits_2(self, tmp_path, probe):
+        cfg_path = tmp_path / "cfg.json"
+        write_train_config(cfg_path, epochs=1, extra_hyper=probe)
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+
     def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_train_config(cfg_path, epochs=1)

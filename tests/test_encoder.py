@@ -10,7 +10,6 @@ from fisherhash.encoder import (
     init_state,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
 )
 from fisherhash.exceptions import NumericalError
 
@@ -149,20 +148,20 @@ class TestSGDStep:
 
     def test_zero_grads_leave_state_unchanged(self):
         state = self.make_state()
-        new = sgd_step(state, self.zeros_like_grads(state), lr=0.1)
+        new = SGD(lr=0.1).step(state, self.zeros_like_grads(state))
         for a, b in zip(new.weights, state.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_scalar_arithmetic(self):
         state = EncoderState([np.array([[1.0]])], [np.zeros(1)], ["identity"])
         grads = ([np.array([[0.5]])], [np.zeros(1)])
-        new = sgd_step(state, grads, lr=0.1)
+        new = SGD(lr=0.1).step(state, grads)
         assert new.weights[0][0, 0] == pytest.approx(0.95)
 
     def test_weight_decay(self):
         state = EncoderState([np.array([[1.0]])], [np.zeros(1)], ["identity"])
         grads = ([np.array([[0.0]])], [np.zeros(1)])
-        new = sgd_step(state, grads, lr=0.1, weight_decay=0.1)
+        new = SGD(lr=0.1, weight_decay=0.1).step(state, grads)
         assert new.weights[0][0, 0] == pytest.approx(0.99)
 
     def test_non_finite_grads_refused(self):
@@ -170,16 +169,12 @@ class TestSGDStep:
         grads = self.zeros_like_grads(state)
         grads[0][0][0, 0] = np.inf
         with pytest.raises(NumericalError, match="non-finite"):
-            sgd_step(state, grads, lr=0.1)
+            SGD(lr=0.1).step(state, grads)
 
-    def test_momentum_zero_matches_plain_step(self):
-        state = self.make_state()
-        grads = ([np.full_like(w, 0.25) for w in state.weights],
-                 [np.full_like(b, -0.5) for b in state.biases])
-        plain = sgd_step(state, grads, lr=0.05, weight_decay=0.01)
-        via_opt = SGD(lr=0.05, weight_decay=0.01).step(state, grads)
-        for a, b in zip(plain.weights + plain.biases, via_opt.weights + via_opt.biases):
-            np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": 0.1, "weight_decay": -0.1}])
+    def test_rejects_bad_lr_and_weight_decay(self, kwargs):
+        with pytest.raises(ValueError):
+            SGD(**kwargs)
 
     def test_momentum_accumulates(self):
         state = EncoderState([np.array([[0.0]])], [np.zeros(1)], ["identity"])

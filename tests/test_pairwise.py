@@ -12,8 +12,12 @@ from fisherhash.pairwise import (
     loss_dissimilar,
     loss_similar,
     pair_gradient,
+    pair_loss_full,
     pair_objective,
+    sign_matrix,
 )
+
+from oracles import per_pair_gradient, per_pair_objective
 
 # Frozen via 40-digit evaluation (mpmath) of log(1 + exp(.)).
 LOG2 = 0.6931471805599453
@@ -190,3 +194,66 @@ class TestPairGradient:
         pairs = PairSets(similar=np.array([[0, 1]]))
         grad = pair_gradient(u, b, pairs, MarginParams(m=1.0, psi=0.5))
         np.testing.assert_allclose(grad, 2 * 0.5 * (u - signs), atol=1e-15)
+
+
+class TestSignMatrix:
+    def test_from_pair_sets_is_symmetric(self):
+        pairs = PairSets(np.array([[0, 2]]), np.array([[1, 2]]))
+        np.testing.assert_array_equal(
+            sign_matrix(pairs, 4),
+            [[0, 0, 1, 0], [0, 0, -1, 0], [1, -1, 0, 0], [0, 0, 0, 0]],
+        )
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 4)),
+        np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ], ids=["shape", "asymmetric", "diagonal", "value"])
+    def test_rejects_malformed_matrix(self, bad):
+        with pytest.raises(ValueError, match="sign matrix"):
+            sign_matrix(bad, 3)
+
+
+@st.composite
+def pair_instances(draw):
+    """Random K, n <= 40, multi-label sets, a random subset of their pairs,
+    and a block size that does or does not divide n."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 40))
+    classes = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label_sets = [
+        frozenset(int(c) for c in rng.choice(classes, size=rng.integers(1, min(3, classes) + 1),
+                                              replace=False))
+        for _ in range(n)
+    ]
+    every = PairSets.all_pairs_from_label_sets(label_sets)
+    keep = draw(st.floats(0.0, 1.0))
+    pairs = PairSets(every.similar[rng.random(len(every.similar)) < keep],
+                     every.dissimilar[rng.random(len(every.dissimilar)) < keep])
+    u = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 3.0])), size=(k, n))
+    signs = rng.choice([-1.0, 1.0], size=(k, n))
+    params = MarginParams(m=draw(st.floats(0.0, 3.0)), psi=draw(st.floats(0.0, 2.0)))
+    divisors = [size for size in range(1, n + 1) if n % size == 0]
+    others = [size for size in range(2, n + 3) if n % size]
+    block = draw(st.sampled_from(divisors if draw(st.booleans()) else others))
+    return u, signs, label_sets, every, pairs, params, block
+
+
+class TestKernelAgainstPerPairOracle:
+    @given(pair_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_objective_gradient_and_full_loss(self, instance):
+        u, signs, label_sets, every, pairs, params, block = instance
+        b = BinaryCodeMatrix.from_signs(signs)
+        want = per_pair_objective(u, signs, pairs, params.m, params.psi)
+        assert pair_objective(u, b, pairs, params) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        want_grad = per_pair_gradient(u, signs, pairs, params.m, params.psi)
+        got_grad = pair_gradient(u, b, pairs, params)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-11)
+        s = sign_matrix(pairs, u.shape[1])
+        np.testing.assert_array_equal(pair_gradient(u, b, s, params), got_grad)
+        want_full = per_pair_objective(u, signs, every, params.m, 0.0)
+        got_full = pair_loss_full(u, label_sets, params.m, block=block)
+        assert got_full == pytest.approx(want_full, rel=1e-12, abs=1e-12)
