@@ -191,10 +191,17 @@ def _require_same_k(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> None:
 
 
 def hamming_cross(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> np.ndarray:
-    """All-pairs Hamming distances, shape (a.n, b.n), via XOR popcount."""
+    """All-pairs Hamming distances, shape (a.n, b.n), via XOR popcount.
+
+    The dtype is the smallest unsigned integer that holds K (uint8 for
+    K <= 255, uint16 above), which lets numpy radix-sort the distances.
+    Widen before doing arithmetic that can leave [0, K].
+    """
     _require_same_k(a, b)
-    diff = a.words[:, None, :] ^ b.words[None, :, :]
-    return np.bitwise_count(diff).sum(axis=-1, dtype=np.int64)
+    dist = np.zeros((a.n, b.n), dtype=np.min_scalar_type(a.K))
+    for w in range(a.words.shape[1]):
+        dist += np.bitwise_count(a.words[:, None, w] ^ b.words[None, :, w])
+    return dist
 
 
 def hamming_distance(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> int:
@@ -215,7 +222,7 @@ def inner_product_matrix(a, b) -> np.ndarray:
     match the unpacked integer dot product exactly.
     """
     if isinstance(a, BinaryCodeMatrix) and isinstance(b, BinaryCodeMatrix):
-        return a.K - 2 * hamming_cross(a, b)
+        return a.K - 2 * hamming_cross(a, b).astype(np.int64)
     if isinstance(a, BinaryCodeMatrix) or isinstance(b, BinaryCodeMatrix):
         raise TypeError("mixed packed/real inputs are not supported")
     a = np.asarray(a, dtype=np.float64)

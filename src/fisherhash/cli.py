@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -74,11 +73,10 @@ def _resolve_out_dir(args) -> Path:
     return out
 
 
-def _threads(args) -> int:
-    n = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if n < 1:
-        raise ConfigError(f"--threads must be >= 1, got {n}")
-    return n
+def _check_threads(args) -> None:
+    """Validate --threads; no result depends on it, since ranking is single-threaded."""
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
@@ -105,6 +103,8 @@ def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
             )
         except KeyError as exc:
             raise ConfigError(f"synthetic dataset spec missing key {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad synthetic dataset spec: {exc}") from exc
     raise ConfigError("dataset section needs either 'manifest' or 'synthetic'")
 
 
@@ -157,7 +157,7 @@ def _encode_features(state, features: np.ndarray) -> BinaryCodeMatrix:
 
 
 def cmd_train(args) -> int:
-    _threads(args)  # validated for interface coherence; training numerics never depend on it
+    _check_threads(args)
     cfg = _load_config_file(args.config)
     base_dir = Path(args.config).parent if args.config else Path(".")
     dataset = _build_dataset(cfg, base_dir)
@@ -231,12 +231,16 @@ def _load_index(path) -> tuple[BinaryCodeMatrix, list, int]:
     meta_path = idx_dir / "index.json"
     if not meta_path.exists():
         raise DataError(f"not an index directory (missing index.json): {idx_dir}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{meta_path}: invalid JSON: {exc}") from exc
+    classes = meta.get("classes") if isinstance(meta, dict) else None
+    if type(classes) is not int:
+        raise DataError(f"{meta_path}: must be a JSON object with an integer 'classes' field")
     codes = BinaryCodeMatrix.load(idx_dir / "codes.fhsh")
-    _, label_sets = load_labels(
-        idx_dir / "labels.txt", num_classes=int(meta["classes"]), n_items=codes.n
-    )
-    return codes, label_sets, int(meta["classes"])
+    _, label_sets = load_labels(idx_dir / "labels.txt", num_classes=classes, n_items=codes.n)
+    return codes, label_sets, classes
 
 
 # ----------------------------------------------------------------- query
@@ -247,7 +251,8 @@ def cmd_query(args) -> int:
     queries = BinaryCodeMatrix.load(args.queries)
     if args.k < 1 or args.k > db_codes.n:
         raise ConfigError(f"--k must be in [1, {db_codes.n}], got {args.k}")
-    results = search(queries, db_codes, k=args.k, threads=_threads(args))
+    _check_threads(args)
+    results = search(queries, db_codes, k=args.k)
     out = _resolve_out_dir(args)
     with open(out / "results.csv", "w", encoding="utf-8") as fh:
         fh.write("query,rank,item,distance\n")
@@ -282,11 +287,11 @@ def cmd_eval(args) -> int:
         "ks": ks,
     }
     chash = config_hash(payload)
+    _check_threads(args)
     try:
         report = metrics_report(
             query_codes, db_codes, query_labels, db_labels,
-            ks=ks, num_classes=args.classes, threads=_threads(args),
-            config_hash=chash,
+            ks=ks, num_classes=args.classes, config_hash=chash,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -411,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON configuration file")
     common.add_argument("--seed", type=int, help="override hyper.seed")
     common.add_argument("--threads", type=int,
-                        help="worker threads for query evaluation (results are independent of it)")
+                        help="accepted and checked (>= 1) for compatibility; fisherhash "
+                             "ranks on one thread and no result depends on it")
     common.add_argument("--out", help="output directory")
     common.add_argument("--force", action="store_true",
                         help="replace a non-empty output directory")

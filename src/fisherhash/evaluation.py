@@ -1,15 +1,15 @@
 """Exact Hamming-ranking retrieval and the usual IR metrics.
 
-Search is a linear scan over packed codes (XOR + popcount); ranking
-ties at equal distance break by ascending database index so results
-are deterministic and oracle-comparable.  Metrics: MAP@k, precision
-and recall at N, and a precision/recall sweep over Hamming radius.
+Search is a linear scan over packed codes (XOR + popcount), one block
+of queries at a time on one thread; ranking ties at equal distance
+break by ascending database index so results are deterministic and
+oracle-comparable.  Metrics: MAP@k, precision and recall at N, and a
+precision/recall sweep over Hamming radius, accumulated block by block.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,74 +30,31 @@ class RankedResult:
     distances: np.ndarray
 
 
-def _ranked_distances(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, threads: int = 1):
-    """Full stable ranking per query: (order, sorted distances)."""
-    if queries.K != database.K:
-        raise ValueError(f"code length mismatch: {queries.K} vs {database.K}")
+def _ranked_blocks(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int):
+    """Stable Hamming ranking of the database, one block of queries at a time.
+
+    Yields (start, dist, order) per block: the unsorted distances of
+    queries start, start + 1, ... and the first k columns of their stable
+    argsort.  Distances are small unsigned ints, so the sort is a radix
+    sort, and ties keep ascending database order.
+    """
     n_q, n_db = queries.n, database.n
     block = max(1, _BLOCK_ENTRIES // n_db)
-    starts = range(0, n_q, block)
-
-    def rank_block(start):
-        stop = min(start + block, n_q)
-        dist = hamming_cross(queries.take(range(start, stop)), database)
-        order = np.argsort(dist, axis=1, kind="stable")
-        return order, np.take_along_axis(dist, order, axis=1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(rank_block, starts))
-    else:
-        parts = [rank_block(s) for s in starts]
-    order = np.concatenate([p[0] for p in parts], axis=0)
-    dists = np.concatenate([p[1] for p in parts], axis=0)
-    return order, dists
+    for start in range(0, n_q, block):
+        dist = hamming_cross(queries.take(range(start, min(start + block, n_q))), database)
+        yield start, dist, np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
-def _topk_row(dist: np.ndarray, k: int):
-    """Exact smallest-k of one distance row, ties by ascending index."""
-    if k * 4 >= dist.size:
-        order = np.argsort(dist, kind="stable")[:k]
-        return order, dist[order]
-    part = np.argpartition(dist, k - 1)[:k]
-    # argpartition picks arbitrary members among boundary ties; gather
-    # every candidate at or below the boundary, then rank stably so
-    # equal distances fall back to ascending index.
-    thresh = dist[part].max()
-    cand = np.flatnonzero(dist <= thresh)
-    order = cand[np.argsort(dist[cand], kind="stable")[:k]]
-    return order, dist[order]
-
-
-def search(
-    queries: BinaryCodeMatrix,
-    database: BinaryCodeMatrix,
-    k: int,
-    threads: int = 1,
-) -> list[RankedResult]:
+def search(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int) -> list[RankedResult]:
     """Exact top-k by Hamming distance, ties by ascending item index."""
     if not 1 <= k <= database.n:
         raise ValueError(f"k must be in [1, {database.n}], got {k}")
-    n_q, n_db = queries.n, database.n
-    block = max(1, _BLOCK_ENTRIES // n_db)
-    starts = range(0, n_q, block)
-
-    def search_block(start):
-        stop = min(start + block, n_q)
-        dist = hamming_cross(queries.take(range(start, stop)), database)
-        return [_topk_row(dist[i], k) for i in range(stop - start)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(search_block, starts))
-    else:
-        parts = [search_block(s) for s in starts]
     results = []
-    for part in parts:
-        for order, dists in part:
-            results.append(
-                RankedResult(query=len(results), indices=order, distances=dists)
-            )
+    for start, dist, order in _ranked_blocks(queries, database, k):
+        for i, row in enumerate(order):
+            # Copies, so a result does not keep the block's full argsort alive.
+            indices = row.copy()
+            results.append(RankedResult(start + i, indices, dist[i, indices].astype(np.int64)))
     return results
 
 
@@ -119,16 +76,17 @@ def average_precision(flags, r_total: int) -> float:
     return float(precisions.sum() / min(r_total, flags.size))
 
 
+def _indicator(label_sets, num_classes: int) -> np.ndarray:
+    """Boolean (n, num_classes) table: entry true iff the item has the label."""
+    ind = np.zeros((len(label_sets), num_classes), dtype=bool)
+    for i, labels in enumerate(label_sets):
+        ind[i, list(labels)] = True
+    return ind
+
+
 def relevance_matrix(query_label_sets, db_label_sets, num_classes: int) -> np.ndarray:
     """Boolean (n_q, n_db) matrix: entry true iff label sets intersect."""
-
-    def indicator(sets):
-        ind = np.zeros((len(sets), num_classes), dtype=bool)
-        for i, labels in enumerate(sets):
-            ind[i, list(labels)] = True
-        return ind
-
-    return indicator(query_label_sets) @ indicator(db_label_sets).T
+    return _indicator(query_label_sets, num_classes) @ _indicator(db_label_sets, num_classes).T
 
 
 @dataclass
@@ -168,55 +126,73 @@ def metrics_report(
     ks,
     num_classes: int | None = None,
     max_n: int | None = None,
-    threads: int = 1,
     config_hash: str | None = None,
 ) -> MetricsReport:
     """Rank the database for every query and compute all metrics.
 
     Queries with no relevant database item are excluded from MAP and
-    recall averages (their precision is still counted).
+    recall averages (their precision is still counted).  Rankings are
+    streamed one block of queries at a time and folded into per-query
+    sums taken in query order, so every mean equals the one over the
+    whole n_q x n_db matrices.
     """
     if len(query_label_sets) != queries.n or len(db_label_sets) != database.n:
         raise ValueError("label table sizes do not match code tables")
     ks = sorted(set(int(k) for k in ks))
     if ks and not 1 <= ks[0] <= ks[-1] <= database.n:
         raise ValueError(f"every k must be in [1, {database.n}], got {ks}")
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if num_classes is None:
         num_classes = 1 + max(max(s) for s in [*query_label_sets, *db_label_sets])
-    rel = relevance_matrix(query_label_sets, db_label_sets, num_classes)
-    r_totals = rel.sum(axis=1)
-    order, dists = _ranked_distances(queries, database, threads)
-    rel_ranked = np.take_along_axis(rel, order, axis=1)
-
-    has_rel = r_totals > 0
-    n_q, n_db = queries.n, database.n
-    cum_hits = np.cumsum(rel_ranked, axis=1, dtype=np.float64)
-
-    map_at = {}
-    for k in ks:
-        aps = []
-        for q in range(n_q):
-            if has_rel[q]:
-                aps.append(average_precision(rel_ranked[q, :k], int(r_totals[q])))
-        map_at[k] = float(np.mean(aps)) if aps else 0.0
-
+    q_ind = _indicator(query_label_sets, num_classes)
+    db_ind_t = _indicator(db_label_sets, num_classes).T
+    n_q, n_db, k_bits = queries.n, database.n, queries.K
     n_max = n_db if max_n is None else min(int(max_n), n_db)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
-    precision_n = (cum_hits[:, :n_max] / ns).mean(axis=0)
-    if has_rel.any():
-        recall_n = (cum_hits[has_rel, :n_max] / r_totals[has_rel, None]).mean(axis=0)
-    else:
-        recall_n = np.zeros(n_max)
-    top_n = np.column_stack([ns, precision_n, recall_n])
 
+    r_totals = np.zeros(n_q, dtype=np.int64)
+    hits_at_1 = np.zeros(n_q)
+    aps = {k: [] for k in ks}
+    precision_sum = np.zeros(n_max)
+    recall_sum = np.zeros(n_max)
     # Radius sweep: counts of retrieved / relevant-retrieved per query
     # at Hamming distance <= r, for r = 0..K.
-    k_bits = queries.K
     retrieved = np.zeros((n_q, k_bits + 1))
     rel_retrieved = np.zeros((n_q, k_bits + 1))
-    for q in range(n_q):
-        retrieved[q] = np.bincount(dists[q], minlength=k_bits + 1)
-        rel_retrieved[q] = np.bincount(dists[q], weights=rel_ranked[q], minlength=k_bits + 1)
+    for start, dist, order in _ranked_blocks(queries, database, max([n_max, *ks])):
+        rows = slice(start, start + len(dist))
+        rel = q_ind[rows] @ db_ind_t
+        r_totals[rows] = rel.sum(axis=1)
+        bins = (np.arange(len(dist))[:, None] * (k_bits + 1) + dist).ravel()
+        size = len(dist) * (k_bits + 1)
+        retrieved[rows] = np.bincount(bins, minlength=size).reshape(-1, k_bits + 1)
+        rel_retrieved[rows] = np.bincount(
+            bins, weights=rel.ravel(), minlength=size
+        ).reshape(-1, k_bits + 1)
+        rel_ranked = np.take_along_axis(rel, order, axis=1)
+        cum_hits = np.cumsum(rel_ranked[:, :n_max], axis=1, dtype=np.float64)
+        hits_at_1[rows] = cum_hits[:, 0]
+        for i, r_total in enumerate(r_totals[rows]):
+            precision_sum += cum_hits[i] / ns
+            if r_total:
+                recall_sum += cum_hits[i] / r_total
+                for k in ks:
+                    aps[k].append(average_precision(rel_ranked[i, :k], int(r_total)))
+
+    has_rel = r_totals > 0
+    map_at = {k: float(np.mean(v)) if v else 0.0 for k, v in aps.items()}
+    precision_n = precision_sum / n_q
+    if not has_rel.any():
+        recall_n = recall_sum
+    elif n_max == 1:
+        # numpy sums a one-column matrix over its rows pairwise, not row
+        # by row; sum R@1 the same way.
+        recall_n = (hits_at_1[has_rel] / r_totals[has_rel]).mean(keepdims=True)
+    else:
+        recall_n = recall_sum / has_rel.sum()
+    top_n = np.column_stack([ns, precision_n, recall_n])
+
     retrieved = retrieved.cumsum(axis=1)
     rel_retrieved = rel_retrieved.cumsum(axis=1)
     pr_rows = []

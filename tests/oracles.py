@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from fisherhash.evaluation import MetricsReport, RankedResult, average_precision, relevance_matrix
 from fisherhash.pairwise import loss_dissimilar, loss_similar
 
 
@@ -74,3 +75,119 @@ def per_pair_gradient(u, b_dense, pairs, m, psi):
             np.add.at(grad_t, ii, coef[:, None] * ut[jj])
             np.add.at(grad_t, jj, coef[:, None] * ut[ii])
     return grad_t.T.copy()
+
+
+# ---------------------------------------------------------------------
+# The two-path Hamming ranking that evaluation.py used before it became
+# one blocked generator: an int64 distance matrix, a full stable argsort
+# for metrics, and an argpartition shortcut for small-k search.  Block
+# boundaries never changed its results, so it ranks all queries at once.
+
+
+def reference_hamming_cross(a, b):
+    """All-pairs Hamming distances as int64, through a 3-D XOR temporary."""
+    if a.K != b.K:
+        raise ValueError(f"code length mismatch: {a.K} vs {b.K}")
+    diff = a.words[:, None, :] ^ b.words[None, :, :]
+    return np.bitwise_count(diff).sum(axis=-1, dtype=np.int64)
+
+
+def _ranked_distances(queries, database):
+    """Full stable ranking per query: (order, sorted distances)."""
+    dist = reference_hamming_cross(queries, database)
+    order = np.argsort(dist, axis=1, kind="stable")
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def _topk_row(dist, k):
+    """Exact smallest-k of one distance row, ties by ascending index."""
+    if k * 4 >= dist.size:
+        order = np.argsort(dist, kind="stable")[:k]
+        return order, dist[order]
+    part = np.argpartition(dist, k - 1)[:k]
+    # argpartition picks arbitrary members among boundary ties; gather
+    # every candidate at or below the boundary, then rank stably so
+    # equal distances fall back to ascending index.
+    thresh = dist[part].max()
+    cand = np.flatnonzero(dist <= thresh)
+    order = cand[np.argsort(dist[cand], kind="stable")[:k]]
+    return order, dist[order]
+
+
+def reference_search(queries, database, k):
+    """Exact top-k by Hamming distance, ties by ascending item index."""
+    if not 1 <= k <= database.n:
+        raise ValueError(f"k must be in [1, {database.n}], got {k}")
+    dist = reference_hamming_cross(queries, database)
+    return [
+        RankedResult(query=q, indices=order, distances=dists)
+        for q, (order, dists) in enumerate(_topk_row(row, k) for row in dist)
+    ]
+
+
+def reference_metrics_report(queries, database, query_label_sets, db_label_sets, ks,
+                             num_classes=None, max_n=None):
+    """MAP@k, P@N / R@N and the radius sweep from whole n_q x n_db matrices."""
+    if len(query_label_sets) != queries.n or len(db_label_sets) != database.n:
+        raise ValueError("label table sizes do not match code tables")
+    ks = sorted(set(int(k) for k in ks))
+    if ks and not 1 <= ks[0] <= ks[-1] <= database.n:
+        raise ValueError(f"every k must be in [1, {database.n}], got {ks}")
+    if num_classes is None:
+        num_classes = 1 + max(max(s) for s in [*query_label_sets, *db_label_sets])
+    rel = relevance_matrix(query_label_sets, db_label_sets, num_classes)
+    r_totals = rel.sum(axis=1)
+    order, dists = _ranked_distances(queries, database)
+    rel_ranked = np.take_along_axis(rel, order, axis=1)
+
+    has_rel = r_totals > 0
+    n_q, n_db = queries.n, database.n
+    cum_hits = np.cumsum(rel_ranked, axis=1, dtype=np.float64)
+
+    map_at = {}
+    for k in ks:
+        aps = []
+        for q in range(n_q):
+            if has_rel[q]:
+                aps.append(average_precision(rel_ranked[q, :k], int(r_totals[q])))
+        map_at[k] = float(np.mean(aps)) if aps else 0.0
+
+    n_max = n_db if max_n is None else min(int(max_n), n_db)
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    precision_n = (cum_hits[:, :n_max] / ns).mean(axis=0)
+    if has_rel.any():
+        recall_n = (cum_hits[has_rel, :n_max] / r_totals[has_rel, None]).mean(axis=0)
+    else:
+        recall_n = np.zeros(n_max)
+    top_n = np.column_stack([ns, precision_n, recall_n])
+
+    k_bits = queries.K
+    retrieved = np.zeros((n_q, k_bits + 1))
+    rel_retrieved = np.zeros((n_q, k_bits + 1))
+    for q in range(n_q):
+        retrieved[q] = np.bincount(dists[q], minlength=k_bits + 1)
+        rel_retrieved[q] = np.bincount(dists[q], weights=rel_ranked[q], minlength=k_bits + 1)
+    retrieved = retrieved.cumsum(axis=1)
+    rel_retrieved = rel_retrieved.cumsum(axis=1)
+    pr_rows = []
+    for r in range(k_bits + 1):
+        nonempty = retrieved[:, r] > 0
+        if nonempty.any():
+            precision = float(
+                (rel_retrieved[nonempty, r] / retrieved[nonempty, r]).mean()
+            )
+        else:
+            precision = 0.0
+        if has_rel.any():
+            recall = float((rel_retrieved[has_rel, r] / r_totals[has_rel]).mean())
+        else:
+            recall = 0.0
+        pr_rows.append((r, precision, recall))
+
+    return MetricsReport(
+        map_at=map_at,
+        top_n=top_n,
+        pr_radius=np.array(pr_rows, dtype=np.float64),
+        n_queries=n_q,
+        n_database=n_db,
+    )

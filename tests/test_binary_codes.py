@@ -129,9 +129,12 @@ class TestInnerProductMatrix:
         assert inner_product_matrix(a, a).tolist() == [[16]]
 
     def test_negated_column(self):
-        a = pack(np.ones(5))
-        b = pack(-np.ones(5))
-        assert inner_product_matrix(a, b).tolist() == [[-5]]
+        # 200 bits: distances come back as uint8, and K - 2 * 200 must
+        # not wrap.
+        for k in (5, 200):
+            a = pack(np.ones(k))
+            b = pack(-np.ones(k))
+            assert inner_product_matrix(a, b).tolist() == [[-k]]
 
     def test_packed_matches_unpacked_oracle(self):
         rng = np.random.default_rng(42)
@@ -220,9 +223,15 @@ class TestPaddingAndFileFormat:
 
 class TestHammingCross:
     def test_matches_dense_oracle(self):
+        # One word, a partial second word, and both sides of the
+        # uint8/uint16 boundary at K = 255/256.
         rng = np.random.default_rng(5)
-        a = rng.choice([-1, 1], size=(70, 9))
-        b = rng.choice([-1, 1], size=(70, 13))
-        got = hamming_cross(codes_from_signs(a), codes_from_signs(b))
-        want = (70 - a.T @ b) // 2
-        assert np.array_equal(got, want)
+        for k, dtype in ((1, np.uint8), (64, np.uint8), (65, np.uint8),
+                         (255, np.uint8), (256, np.uint16), (300, np.uint16)):
+            a = rng.choice([-1, 1], size=(k, 9))
+            b = rng.choice([-1, 1], size=(k, 13))
+            b[:, 0] = -a[:, 0]  # one pair at the maximum distance K
+            got = hamming_cross(codes_from_signs(a), codes_from_signs(b))
+            want = (k - a.T @ b) // 2
+            assert got.dtype == dtype, k
+            assert np.array_equal(got, want), k

@@ -111,6 +111,18 @@ class TestTrainCommand:
         write_train_config(cfg_path, epochs=1, extra_hyper=probe)
         assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("classes", "abc"),
+        ("per_class", None),
+        ("separation", [1.0]),
+    ], ids=["text-classes", "null-per-class", "list-separation"])
+    def test_malformed_synthetic_spec_exits_2(self, tmp_path, field, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_train_config(cfg_path, epochs=1)
+        cfg["dataset"]["synthetic"][field] = value
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+
     def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_train_config(cfg_path, epochs=1)
@@ -203,6 +215,68 @@ class TestEncodeIndexQuery:
                        "--queries", str(tmp_path / "q.fhsh"),
                        "--k", "9", "--out", str(tmp_path / "q"))
         assert code == 2
+
+
+    @pytest.mark.parametrize("text", [
+        '{"classes": 3',
+        '[3]',
+        '{"name": "index", "bits": 4}',
+        '{"classes": "3"}',
+        '{"classes": 3.5}',
+    ], ids=["truncated", "not-an-object", "missing-classes", "text-classes",
+            "fractional-classes"])
+    def test_bad_index_json_exits_3(self, tmp_path, capsys, text):
+        write_eval_fixture(tmp_path)
+        idx_dir = tmp_path / "index"
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "3", "--out", str(idx_dir)) == 0
+        (idx_dir / "index.json").write_text(text, encoding="utf-8")
+        code = run_cli("query", "--index", str(idx_dir),
+                       "--queries", str(tmp_path / "q.fhsh"),
+                       "--k", "2", "--out", str(tmp_path / "q"))
+        assert code == 3
+        assert "index.json" in capsys.readouterr().err
+
+
+class TestThreadsFlag:
+    def test_query_and_eval_outputs_do_not_depend_on_threads(self, tmp_path, capsys):
+        rng = np.random.default_rng(21)
+        BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(70, 300))).save(tmp_path / "db.fhsh")
+        BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(70, 40))).save(tmp_path / "q.fhsh")
+        write_labels(tmp_path / "db_labels.txt",
+                     [{int(c)} for c in rng.integers(0, 4, size=300)])
+        write_labels(tmp_path / "q_labels.txt",
+                     [{int(c)} for c in rng.integers(0, 4, size=40)])
+        idx_dir = tmp_path / "index"
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "4", "--out", str(idx_dir)) == 0
+
+        def query(threads, out):
+            return run_cli("query", "--index", str(idx_dir), "--queries", str(tmp_path / "q.fhsh"),
+                           "--k", "25", "--threads", threads, "--out", str(tmp_path / out))
+
+        def evaluate(threads, out):
+            return run_cli("eval", "--db-codes", str(tmp_path / "db.fhsh"),
+                           "--db-labels", str(tmp_path / "db_labels.txt"),
+                           "--query-codes", str(tmp_path / "q.fhsh"),
+                           "--query-labels", str(tmp_path / "q_labels.txt"),
+                           "--classes", "4", "--ks", "1,10,300", "--threads", threads,
+                           "--out", str(tmp_path / out))
+
+        for threads in ("1", "8"):
+            assert query(threads, f"q{threads}") == 0
+            assert evaluate(threads, f"e{threads}") == 0
+        assert (tmp_path / "q1" / "results.csv").read_bytes() == \
+            (tmp_path / "q8" / "results.csv").read_bytes()
+        for name in ("map.csv", "prn.csv", "pr.csv"):
+            assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e8" / name).read_bytes()
+
+        capsys.readouterr()
+        assert query("0", "q0") == 2
+        assert evaluate("0", "e0") == 2
+        assert capsys.readouterr().err.count("--threads must be >= 1") == 2
 
 
 class TestEvalCommand:

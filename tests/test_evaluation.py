@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fisherhash import evaluation
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.evaluation import (
     average_precision,
@@ -10,6 +15,8 @@ from fisherhash.evaluation import (
     write_metrics_csv,
     write_metrics_json,
 )
+
+from oracles import reference_metrics_report, reference_search
 
 # ---------------------------------------------------------------------
 # Hand-computed fixture: K=4, five database items, three queries.
@@ -86,16 +93,6 @@ class TestSearch:
             assert res[qi].indices.tolist() == order.tolist()
             assert res[qi].distances.tolist() == dists[order].tolist()
 
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(10)
-        db = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(12, 400)))
-        q = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(12, 37)))
-        seq = search(q, db, k=10, threads=1)
-        par = search(q, db, k=10, threads=8)
-        for a, b in zip(seq, par):
-            assert a.indices.tolist() == b.indices.tolist()
-            assert a.distances.tolist() == b.distances.tolist()
-
     def test_database_permutation_invariance(self):
         rng = np.random.default_rng(11)
         signs = rng.choice([-1, 1], size=(8, 50))
@@ -117,8 +114,8 @@ class TestSearch:
             search(q, db, k=4)
 
     def test_small_k_shortcut_agrees_with_full_ranking(self):
-        # K=6 over 3000 items guarantees heavy distance ties, exercising
-        # the partition path's boundary handling.
+        # K=6 over 3000 items guarantees heavy distance ties, so a top-k
+        # cut falls inside a run of equal distances.
         rng = np.random.default_rng(12)
         db = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(6, 3000)))
         q = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(6, 5)))
@@ -134,6 +131,16 @@ class TestSearch:
         q = BinaryCodeMatrix.from_signs(np.ones((5, 1)))
         with pytest.raises(ValueError, match="mismatch"):
             search(q, db, k=1)
+
+    def test_results_own_their_arrays(self):
+        # A view into a block's full argsort would keep that block alive
+        # for as long as the caller holds the result.
+        rng = np.random.default_rng(13)
+        db = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(8, 300)))
+        q = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(8, 4)))
+        for res in search(q, db, k=5):
+            assert res.indices.base is None and res.distances.base is None
+            assert res.distances.dtype == np.int64
 
 
 class TestAveragePrecision:
@@ -234,6 +241,11 @@ class TestMetricsReport:
         with pytest.raises(ValueError, match="k must be"):
             metrics_report(q, db, Q_LABELS, DB_LABELS, ks=[6], num_classes=3)
 
+    def test_max_n_below_one_rejected(self, fixture_tables):
+        q, db = fixture_tables
+        with pytest.raises(ValueError, match="max_n must be"):
+            metrics_report(q, db, Q_LABELS, DB_LABELS, ks=[1], num_classes=3, max_n=0)
+
 
 class TestMetricsOutput:
     def test_csv_and_json_outputs(self, tmp_path, fixture_tables):
@@ -247,3 +259,64 @@ class TestMetricsOutput:
         write_metrics_json(report, tmp_path / "report.json")
         text = (tmp_path / "report.json").read_text()
         assert '"config_hash": "abc123"' in text
+
+
+@st.composite
+def retrieval_instances(draw):
+    """Codes clustered around a few prototypes (so distances tie), label
+    sets with several labels per item and queries with no relevant item,
+    every kind of max_n and k, and a block size giving one block, several
+    blocks or a ragged last block."""
+    k_bits = draw(st.sampled_from([1, 7, 64, 65, 256, 300]))
+    n_q = draw(st.integers(1, 24))
+    n_db = draw(st.integers(1, 40))
+    classes = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    protos = rng.choice([-1, 1], size=(k_bits, draw(st.integers(1, 4))))
+    flip = draw(st.sampled_from([0.0, 0.02, 0.5]))
+
+    def codes(n):
+        signs = protos[:, rng.integers(0, protos.shape[1], size=n)]
+        return BinaryCodeMatrix.from_signs(np.where(rng.random(signs.shape) < flip, -signs, signs))
+
+    def label_sets(n, num):
+        # Class `classes` appears only among queries: its queries have
+        # no relevant database item.
+        return [frozenset(rng.choice(num, size=rng.integers(1, 3), replace=True).tolist())
+                for _ in range(n)]
+
+    max_n = draw(st.one_of(st.none(), st.integers(1, max(1, n_db - 1)),
+                           st.integers(n_db + 1, n_db + 5)))
+    return dict(
+        queries=codes(n_q),
+        database=codes(n_db),
+        query_label_sets=label_sets(n_q, classes + 1),
+        db_label_sets=label_sets(n_db, classes),
+        num_classes=classes + 1,
+        ks=draw(st.lists(st.integers(1, n_db), min_size=1, max_size=3)),
+        max_n=max_n,
+        k=draw(st.integers(1, n_db)),
+        block_rows=draw(st.integers(1, n_q + 1)),
+    )
+
+
+class TestStreamingEngineAgainstOracle:
+    @given(retrieval_instances())
+    @settings(max_examples=250, deadline=None)
+    def test_search_and_metrics_match_whole_matrix_reference(self, inst):
+        k, block_rows = inst.pop("k"), inst.pop("block_rows")
+        q, db = inst["queries"], inst["database"]
+        with mock.patch.object(evaluation, "_BLOCK_ENTRIES", block_rows * db.n):
+            got = metrics_report(**inst)
+            found = search(q, db, k=k)
+        want = reference_metrics_report(**inst)
+        assert got.map_at == want.map_at
+        assert got.top_n.tobytes() == want.top_n.tobytes()
+        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
+        expected = reference_search(q, db, k=k)
+        assert len(found) == len(expected)
+        for a, b in zip(found, expected):
+            assert a.query == b.query
+            assert a.indices.dtype == b.indices.dtype and a.distances.dtype == b.distances.dtype
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.distances.tobytes() == b.distances.tobytes()
