@@ -303,7 +303,7 @@ def train(
         # Degenerate run: codes are the sign pattern of the untrained encoder.
         c, v = _initial_centers_for_report(u_full, y)
     train_metrics = metrics_report(
-        b, b, label_sets, label_sets, ks=[b.n], num_classes=dataset.num_classes
+        b, b, label_sets, label_sets, ks=[b.n], num_classes=dataset.num_classes, max_n=1
     )
     report.train_map = train_metrics.map_at[b.n]
     report.elapsed_seconds = time.perf_counter() - t_start

@@ -77,6 +77,32 @@ def per_pair_gradient(u, b_dense, pairs, m, psi):
     return grad_t.T.copy()
 
 
+def reference_pair_loss_full(u, label_sets, margin, block=256):
+    """The blocked full-data pair loss as it was before it became loss-only.
+
+    Per upper-triangle block it builds a +-1 pair-sign matrix from a
+    boolean label indicator (zeroed on and below the diagonal of a
+    diagonal block) and sums softplus(s*d + m) * |s|.
+    """
+    n = u.shape[1]
+    classes = sorted({c for labels in label_sets for c in labels})
+    ind = np.array([[c in labels for c in classes] for labels in label_sets])
+    total = 0.0
+    for bi in range(0, n, block):
+        ei = min(bi + block, n)
+        for bj in range(bi, n, block):
+            ej = min(bj + block, n)
+            d = -0.5 * (u[:, bi:ei].T @ u[:, bj:ej])
+            if not np.isfinite(d).all():
+                raise ValueError("loss inputs must be finite")
+            s = np.where(ind[bi:ei] @ ind[bj:ej].T, 1.0, -1.0)
+            if bi == bj:
+                s = np.triu(s, 1)
+            z = s * d + margin
+            total += float(((np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))) * np.abs(s)).sum())
+    return total
+
+
 # ---------------------------------------------------------------------
 # The two-path Hamming ranking that evaluation.py used before it became
 # one blocked generator: an int64 distance matrix, a full stable argsort

@@ -17,7 +17,7 @@ from fisherhash.pairwise import (
     sign_matrix,
 )
 
-from oracles import per_pair_gradient, per_pair_objective
+from oracles import per_pair_gradient, per_pair_objective, reference_pair_loss_full
 
 # Frozen via 40-digit evaluation (mpmath) of log(1 + exp(.)).
 LOG2 = 0.6931471805599453
@@ -257,3 +257,52 @@ class TestKernelAgainstPerPairOracle:
         want_full = per_pair_objective(u, signs, every, params.m, 0.0)
         got_full = pair_loss_full(u, label_sets, params.m, block=block)
         assert got_full == pytest.approx(want_full, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def full_loss_instances(draw):
+    """n <= 600 items, K in {1, 12, 32, 64}, single- or multi-label sets
+    with labels up to 300 in sorted or shuffled item order, a contiguous,
+    Fortran-ordered or strided u, and a block size that does or does not
+    divide n (at most 40 blocks per side)."""
+    n = draw(st.integers(2, 600))
+    k = draw(st.sampled_from([1, 12, 32, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(300, size=draw(st.integers(1, 12)), replace=False)
+    per_item = draw(st.integers(1, min(3, len(pool))))
+    label_sets = [frozenset(int(c) for c in rng.choice(pool, size=rng.integers(1, per_item + 1),
+                                                        replace=False))
+                  for _ in range(n)]
+    if draw(st.booleans()):
+        label_sets.sort(key=min)
+    scale = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        u = rng.normal(scale=scale, size=(2 * k, 2 * n + 1))[::2, 1::2]
+    else:
+        u = np.asarray(rng.normal(scale=scale, size=(k, n)), order=layout)
+    lo = -(-n // 40)
+    divisors = [size for size in range(lo, n + 1) if n % size == 0]
+    others = [size for size in range(lo, n + 3) if n % size]
+    block = draw(st.sampled_from(divisors if draw(st.booleans()) else others))
+    return u, label_sets, draw(st.floats(0.0, 3.0)), block
+
+
+class TestFullLossAgainstBlockedOracle:
+    @given(full_loss_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sign_matrix_version(self, instance):
+        u, label_sets, m, block = instance
+        want = reference_pair_loss_full(u, label_sets, m, block=block)
+        assert pair_loss_full(u, label_sets, m, block=block) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "gram_overflow"])
+    def test_non_finite_rejected_in_ragged_last_block(self, bad):
+        # 10 items in blocks of 4: the bad column 9 lies in the ragged
+        # last block, and 1e200 overflows only its own Gram entry there.
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=(3, 10))
+        u[:, 9] = bad
+        label_sets = [frozenset({i % 3}) for i in range(10)]
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="finite"):
+            pair_loss_full(u, label_sets, 1.0, block=4)
