@@ -323,7 +323,7 @@ def _eval_split_map(out_dir: Path, dataset: Dataset) -> float:
     rep = metrics_report(
         q_codes, db_codes,
         dataset.subset_labels(query_idx), dataset.subset_labels(db_idx),
-        ks=[db_codes.n], num_classes=dataset.num_classes,
+        ks=[db_codes.n], num_classes=dataset.num_classes, max_n=1,
     )
     return rep.map_at[db_codes.n]
 

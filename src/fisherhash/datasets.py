@@ -59,7 +59,13 @@ class Dataset:
         self.label_sets = [frozenset(s) for s in self.label_sets]
         n = self.features.shape[1]
         for name, idx in self.splits.items():
-            idx = np.asarray(idx, dtype=np.int64)
+            try:
+                idx = np.asarray(idx)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"split {name!r} is not a list of item indices") from exc
+            if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+                raise DataError(f"split {name!r} is not a list of item indices")
+            idx = idx.astype(np.int64)
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise DataError(f"split {name!r} has out-of-range indices")
             self.splits[name] = idx
@@ -202,6 +208,10 @@ def load_manifest(path) -> DatasetManifest:
         raise
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
+    if not isinstance(payload.get("splits", {}), dict):
+        raise DataError(f"{path}: manifest 'splits' must be a JSON object")
     try:
         return DatasetManifest(
             name=payload["name"],
@@ -214,6 +224,8 @@ def load_manifest(path) -> DatasetManifest:
         )
     except KeyError as exc:
         raise DataError(f"{path}: manifest missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad manifest field: {exc}") from exc
 
 
 def load_dataset(manifest: DatasetManifest, base_dir=None) -> Dataset:

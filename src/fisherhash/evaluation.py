@@ -4,7 +4,8 @@ Search is a linear scan over packed codes (XOR + popcount), one block
 of queries at a time on one thread; ranking ties at equal distance
 break by ascending database index so results are deterministic and
 oracle-comparable.  Metrics: MAP@k, precision and recall at N, and a
-precision/recall sweep over Hamming radius, accumulated block by block.
+precision/recall sweep over Hamming radius, accumulated one query at a
+time from that query's ranked relevance and its running hit count.
 """
 
 from __future__ import annotations
@@ -76,17 +77,33 @@ def average_precision(flags, r_total: int) -> float:
     return float(precisions.sum() / min(r_total, flags.size))
 
 
-def _indicator(label_sets, num_classes: int) -> np.ndarray:
-    """Boolean (n, num_classes) table: entry true iff the item has the label."""
-    ind = np.zeros((len(label_sets), num_classes), dtype=bool)
-    for i, labels in enumerate(label_sets):
-        ind[i, list(labels)] = True
-    return ind
-
-
 def relevance_matrix(query_label_sets, db_label_sets, num_classes: int) -> np.ndarray:
-    """Boolean (n_q, n_db) matrix: entry true iff label sets intersect."""
-    return _indicator(query_label_sets, num_classes) @ _indicator(db_label_sets, num_classes).T
+    """Boolean (n_q, n_db) matrix: entry true iff label sets intersect.
+
+    Raises ValueError for a class id outside [0, num_classes).
+    """
+    indicators = []
+    for label_sets in (query_label_sets, db_label_sets):
+        ind = np.zeros((len(label_sets), num_classes), dtype=bool)
+        for i, labels in enumerate(label_sets):
+            labels = list(labels)
+            if not all(0 <= c < num_classes for c in labels):
+                raise ValueError(
+                    f"label set {sorted(labels)} has a class id outside [0, {num_classes})"
+                )
+            ind[i, labels] = True
+        indicators.append(ind)
+    return indicators[0] @ indicators[1].T
+
+
+def _distinct(label_sets) -> tuple[list, np.ndarray]:
+    """The distinct label sets in first-seen order, and each item's index into them."""
+    ids: dict = {}
+    item_ids = np.fromiter(
+        (ids.setdefault(frozenset(s), len(ids)) for s in label_sets),
+        dtype=np.intp, count=len(label_sets),
+    )
+    return list(ids), item_ids
 
 
 @dataclass
@@ -132,9 +149,13 @@ def metrics_report(
 
     Queries with no relevant database item are excluded from MAP and
     recall averages (their precision is still counted).  Rankings are
-    streamed one block of queries at a time and folded into per-query
-    sums taken in query order, so every mean equals the one over the
-    whole n_q x n_db matrices.
+    streamed one block of queries at a time; each query row is then
+    scored on its own: its ranked relevance comes from a table of
+    distinct query label sets x distinct database label sets, and one
+    integer running count of hits gives P@N, R@N and the hits within
+    every Hamming radius.  Per-query sums are taken in query order, so
+    every mean equals the one over the whole n_q x n_db matrices.
+    Raises ValueError for a class id outside [0, num_classes).
     """
     if len(query_label_sets) != queries.n or len(db_label_sets) != database.n:
         raise ValueError("label table sizes do not match code tables")
@@ -143,42 +164,44 @@ def metrics_report(
         raise ValueError(f"every k must be in [1, {database.n}], got {ks}")
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    q_sets, q_pid = _distinct(query_label_sets)
+    db_sets, db_pid = _distinct(db_label_sets)
     if num_classes is None:
-        num_classes = 1 + max(max(s) for s in [*query_label_sets, *db_label_sets])
-    q_ind = _indicator(query_label_sets, num_classes)
-    db_ind_t = _indicator(db_label_sets, num_classes).T
+        num_classes = 1 + max(max(s) for s in [*q_sets, *db_sets])
+    table = relevance_matrix(q_sets, db_sets, num_classes)
+    r_totals = (table @ np.bincount(db_pid, minlength=len(db_sets)))[q_pid]
     n_q, n_db, k_bits = queries.n, database.n, queries.K
     n_max = n_db if max_n is None else min(int(max_n), n_db)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
 
-    r_totals = np.zeros(n_q, dtype=np.int64)
     hits_at_1 = np.zeros(n_q)
     aps = {k: [] for k in ks}
     precision_sum = np.zeros(n_max)
     recall_sum = np.zeros(n_max)
     # Radius sweep: counts of retrieved / relevant-retrieved per query
     # at Hamming distance <= r, for r = 0..K.
-    retrieved = np.zeros((n_q, k_bits + 1))
-    rel_retrieved = np.zeros((n_q, k_bits + 1))
-    for start, dist, order in _ranked_blocks(queries, database, max([n_max, *ks])):
-        rows = slice(start, start + len(dist))
-        rel = q_ind[rows] @ db_ind_t
-        r_totals[rows] = rel.sum(axis=1)
-        bins = (np.arange(len(dist))[:, None] * (k_bits + 1) + dist).ravel()
-        size = len(dist) * (k_bits + 1)
-        retrieved[rows] = np.bincount(bins, minlength=size).reshape(-1, k_bits + 1)
-        rel_retrieved[rows] = np.bincount(
-            bins, weights=rel.ravel(), minlength=size
-        ).reshape(-1, k_bits + 1)
-        rel_ranked = np.take_along_axis(rel, order, axis=1)
-        cum_hits = np.cumsum(rel_ranked[:, :n_max], axis=1, dtype=np.float64)
-        hits_at_1[rows] = cum_hits[:, 0]
-        for i, r_total in enumerate(r_totals[rows]):
-            precision_sum += cum_hits[i] / ns
+    retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
+    rel_retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
+    # cum[j]: relevant items among the first j ranked.
+    cum = np.zeros(n_db + 1, dtype=np.int32)
+    for start, dist, order in _ranked_blocks(queries, database, n_db):
+        for i in range(len(dist)):
+            q = start + i
+            rel = table[q_pid[q]].take(db_pid.take(order[i]))
+            np.cumsum(rel, dtype=np.int32, out=cum[1:])
+            hits = cum[1:n_max + 1]
+            hits_at_1[q] = hits[0]
+            precision_sum += hits / ns
+            r_total = r_totals[q]
             if r_total:
-                recall_sum += cum_hits[i] / r_total
+                recall_sum += hits / r_total
                 for k in ks:
-                    aps[k].append(average_precision(rel_ranked[i, :k], int(r_total)))
+                    aps[k].append(average_precision(rel[:k], int(r_total)))
+            # The ranking is sorted by distance, so the items within
+            # radius r are the first ends[r] ranked.
+            ends = np.bincount(dist[i], minlength=k_bits + 1).cumsum()
+            retrieved[q] = ends
+            rel_retrieved[q] = cum[ends]
 
     has_rel = r_totals > 0
     map_at = {k: float(np.mean(v)) if v else 0.0 for k, v in aps.items()}
@@ -193,8 +216,6 @@ def metrics_report(
         recall_n = recall_sum / has_rel.sum()
     top_n = np.column_stack([ns, precision_n, recall_n])
 
-    retrieved = retrieved.cumsum(axis=1)
-    rel_retrieved = rel_retrieved.cumsum(axis=1)
     pr_rows = []
     for r in range(k_bits + 1):
         nonempty = retrieved[:, r] > 0

@@ -6,7 +6,7 @@ import pytest
 
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.cli import main
-from fisherhash.datasets import write_features, write_labels
+from fisherhash.datasets import DatasetManifest, save_manifest, write_features, write_labels
 
 
 def run_cli(*argv):
@@ -122,6 +122,33 @@ class TestTrainCommand:
         cfg["dataset"]["synthetic"][field] = value
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("corrupt, code", [
+        (lambda m: m, 0),
+        (lambda m: {**m, "input_dim": "abc"}, 3),
+        (lambda m: [m], 3),
+        (lambda m: {**m, "splits": {"train": "x"}}, 3),
+        (lambda m: {**m, "n_items": None}, 3),
+        (lambda m: {**m, "splits": "x"}, 3),
+        (lambda m: {**m, "splits": {"train": 3}}, 3),
+        (lambda m: {**m, "splits": {**m["splits"], "train": [0.5, 1.5, 2.5]}}, 3),
+    ], ids=["intact", "text-input-dim", "list-manifest", "text-split", "null-n-items",
+            "text-splits", "scalar-split", "fractional-split"])
+    def test_corrupt_manifest_field_exits_3(self, tmp_path, capsys, corrupt, code):
+        rng = np.random.default_rng(0)
+        write_features(tmp_path / "x.fhft", rng.normal(size=(4, 8)))
+        write_labels(tmp_path / "y.txt", [{i % 2} for i in range(8)])
+        save_manifest(DatasetManifest(
+            name="toy", feature_path="x.fhft", label_path="y.txt", input_dim=4, n_items=8,
+            num_classes=2, splits={"train": list(range(6)), "query": [6, 7]},
+        ), tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps(corrupt(manifest)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_train_config(cfg_path, epochs=1)
+        cfg["dataset"] = {"manifest": "manifest.json"}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == code
 
     def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

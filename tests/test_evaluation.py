@@ -246,6 +246,18 @@ class TestMetricsReport:
         with pytest.raises(ValueError, match="max_n must be"):
             metrics_report(q, db, Q_LABELS, DB_LABELS, ks=[1], num_classes=3, max_n=0)
 
+    @pytest.mark.parametrize("side, bad, num_classes", [
+        ("query", -1, 3), ("query", 3, 3), ("database", -1, 3), ("database", 5, 3),
+        ("query", -1, None),
+    ], ids=["negative-query", "large-query", "negative-db", "large-db", "negative-inferred"])
+    def test_class_id_out_of_range_rejected(self, fixture_tables, side, bad, num_classes):
+        q, db = fixture_tables
+        q_labels, db_labels = list(Q_LABELS), list(DB_LABELS)
+        labels = q_labels if side == "query" else db_labels
+        labels[1] = {bad}
+        with pytest.raises(ValueError, match="class id"):
+            metrics_report(q, db, q_labels, db_labels, ks=[1], num_classes=num_classes)
+
 
 class TestMetricsOutput:
     def test_csv_and_json_outputs(self, tmp_path, fixture_tables):
@@ -264,13 +276,16 @@ class TestMetricsOutput:
 @st.composite
 def retrieval_instances(draw):
     """Codes clustered around a few prototypes (so distances tie), label
-    sets with several labels per item and queries with no relevant item,
-    every kind of max_n and k, and a block size giving one block, several
-    blocks or a ragged last block."""
+    sets (set or frozenset) with several labels per item, shared by many
+    items or drawn per item, queries with no relevant item, every kind of
+    max_n and k, and a block size giving one block, several blocks or a
+    ragged last block."""
     k_bits = draw(st.sampled_from([1, 7, 64, 65, 256, 300]))
     n_q = draw(st.integers(1, 24))
     n_db = draw(st.integers(1, 40))
-    classes = draw(st.integers(1, 4))
+    classes = draw(st.integers(1, 12))
+    container = draw(st.sampled_from([set, frozenset]))
+    shared = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     protos = rng.choice([-1, 1], size=(k_bits, draw(st.integers(1, 4))))
     flip = draw(st.sampled_from([0.0, 0.02, 0.5]))
@@ -281,9 +296,14 @@ def retrieval_instances(draw):
 
     def label_sets(n, num):
         # Class `classes` appears only among queries: its queries have
-        # no relevant database item.
-        return [frozenset(rng.choice(num, size=rng.integers(1, 3), replace=True).tolist())
-                for _ in range(n)]
+        # no relevant database item.  Shared: every item takes one of at
+        # most three label sets.
+        def one():
+            return container(rng.choice(num, size=rng.integers(1, 4), replace=True).tolist())
+        if not shared:
+            return [one() for _ in range(n)]
+        pool = [one() for _ in range(rng.integers(1, 4))]
+        return [pool[j] for j in rng.integers(0, len(pool), size=n)]
 
     max_n = draw(st.one_of(st.none(), st.integers(1, max(1, n_db - 1)),
                            st.integers(n_db + 1, n_db + 5)))
@@ -320,3 +340,28 @@ class TestStreamingEngineAgainstOracle:
             assert a.indices.dtype == b.indices.dtype and a.distances.dtype == b.distances.dtype
             assert a.indices.tobytes() == b.indices.tobytes()
             assert a.distances.tobytes() == b.distances.tobytes()
+
+    def test_eval_width_instance_matches_whole_matrix_reference(self):
+        # 150 queries in blocks of 40 leave a ragged last block of 30.
+        rng = np.random.default_rng(11)
+        centers = rng.choice([-1, 1], size=(64, 10))
+
+        def codes_and_labels(n):
+            first = rng.integers(0, 10, size=n)
+            second = rng.integers(0, 10, size=n)
+            signs = centers[:, first]
+            signs = np.where(rng.random(signs.shape) < 0.2, -signs, signs)
+            labels = [frozenset({int(a)}) if rng.random() < 0.7 else {int(a), int(b)}
+                      for a, b in zip(first, second)]
+            return BinaryCodeMatrix.from_signs(signs), labels
+
+        q, q_labels = codes_and_labels(150)
+        db, db_labels = codes_and_labels(4000)
+        inst = dict(queries=q, database=db, query_label_sets=q_labels,
+                    db_label_sets=db_labels, ks=[1, 100, 4000], num_classes=10)
+        with mock.patch.object(evaluation, "_BLOCK_ENTRIES", 40 * db.n):
+            got = metrics_report(**inst)
+        want = reference_metrics_report(**inst)
+        assert got.map_at == want.map_at
+        assert got.top_n.tobytes() == want.top_n.tobytes()
+        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
