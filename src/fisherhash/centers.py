@@ -46,11 +46,11 @@ class CenterHyper:
     """Weights and schedule for the relaxed center updates.
 
     mu weighs the code-to-center pull, nu the center-separation term,
-    eta the pull of V toward its own sign pattern.  normalize_intra
-    divides the mu term by the number of items so the inner step size
-    does not depend on dataset size; normalize_inter divides the nu
-    term by K*M, its natural gradient scale, which keeps the descent
-    stable across code lengths and class counts.
+    eta the pull of V toward its own sign pattern.  update_centers
+    divides the mu term by the number of items, so the inner step size
+    does not depend on dataset size, and the nu term by K*M, its natural
+    gradient scale, which keeps the descent stable across code lengths
+    and class counts.
     """
 
     mu: float = 1.0
@@ -59,8 +59,6 @@ class CenterHyper:
     inner_lr: float = 1e-2
     inner_steps: int = 20
     rounds: int = 3
-    normalize_intra: bool = True
-    normalize_inter: bool = False
 
     def __post_init__(self):
         for name in ("mu", "nu", "eta"):
@@ -138,9 +136,10 @@ def update_centers(
 ) -> tuple[np.ndarray, BinaryCodeMatrix]:
     """Descend the relaxed centers V, then quantize to binary centers.
 
-    Runs h.inner_steps plain gradient steps; the sign pattern in the
-    eta term is re-evaluated every step but treated as constant within
-    it.  Returns the new V and C = sgn(V).
+    Runs h.inner_steps plain gradient steps of center_gradient with mu
+    scaled by 1/N and nu by 1/(K*M) (see CenterHyper); the sign pattern
+    in the eta term is re-evaluated every step but treated as constant
+    within it.  Returns the new V and C = sgn(V).
     """
     v = np.asarray(v, dtype=np.float64).copy()
     bd = _dense(b)
@@ -150,8 +149,8 @@ def update_centers(
         raise ValueError(
             f"inconsistent shapes: V {v.shape}, B {bd.shape}, Y {y.shape}"
         )
-    mu = h.mu / bd.shape[1] if h.normalize_intra else h.mu
-    nu = h.nu / (k * m) if h.normalize_inter else h.nu
+    mu = h.mu / bd.shape[1]
+    nu = h.nu / (k * m)
     # Divergence is detected and raised explicitly, so transient
     # overflow warnings from a blown-up step are noise.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,6 +13,7 @@ import hashlib
 import json
 import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,16 @@ EXIT_NUMERIC = 4
 
 ABLATION_VARIANTS = ("pair", "pair+intra", "full")
 
+# The keys each config section may hold; any other key is a ConfigError.
+_CONFIG_KEYS = {
+    "": {"dataset", "hyper", "encoder", "ablate"},
+    "dataset": {"manifest", "synthetic"},
+    "synthetic": {"classes", "per_class", "dim", "separation", "seed", "query_fraction"},
+    "hyper": {f.name for f in fields(HyperParams)},
+    "encoder": {"hidden_layers", "seed"},
+    "ablate": {"seeds", "variants"},
+}
+
 
 def config_hash(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -56,7 +67,23 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{p}: top-level config must be an object")
+    _check_keys(payload, "")
     return payload
+
+
+def _check_keys(section: dict, name: str) -> None:
+    unknown = sorted(set(section) - _CONFIG_KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name or 'top-level'} config: {', '.join(unknown)}")
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """cfg[name] (empty if absent), checked to be an object with known keys."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    _check_keys(section, name)
+    return section
 
 
 def _resolve_out_dir(args) -> Path:
@@ -80,7 +107,7 @@ def _check_threads(args) -> None:
 
 
 def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
-    spec = cfg.get("dataset")
+    spec = _section(cfg, "dataset")
     if not spec:
         raise ConfigError("config needs a 'dataset' section")
     if "manifest" in spec:
@@ -91,7 +118,7 @@ def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
             raise DataError(f"dataset manifest not found: {manifest_path}") from exc
         return load_dataset(manifest, base_dir=manifest_path.parent)
     if "synthetic" in spec:
-        syn = dict(spec["synthetic"])
+        syn = _section(spec, "synthetic")
         try:
             return make_synthetic(
                 classes=int(syn["classes"]),
@@ -109,7 +136,7 @@ def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
 
 
 def _build_hyper(cfg: dict, args) -> HyperParams:
-    hyper = dict(cfg.get("hyper", {}))
+    hyper = dict(_section(cfg, "hyper"))
     if args.seed is not None:
         hyper["seed"] = args.seed
     try:
@@ -121,17 +148,16 @@ def _build_hyper(cfg: dict, args) -> HyperParams:
 
 
 def _build_encoder_spec(cfg: dict, dataset: Dataset, hp: HyperParams) -> EncoderSpec:
-    enc = dict(cfg.get("encoder", {}))
-    hidden = tuple((int(w), str(a)) for w, a in enc.get("hidden_layers", []))
+    enc = _section(cfg, "encoder")
     try:
         return EncoderSpec(
             input_dim=dataset.input_dim,
             output_dim=hp.bits,
-            hidden_layers=hidden,
+            hidden_layers=tuple((int(w), str(a)) for w, a in enc.get("hidden_layers", [])),
             seed=int(enc.get("seed", hp.seed)),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad encoder section: {exc}") from exc
 
 
 def _resolved_payload(cfg: dict, args, command: str) -> dict:
@@ -333,7 +359,7 @@ def cmd_ablate(args) -> int:
     base_dir = Path(args.config).parent if args.config else Path(".")
     if args.seed is not None:
         raise ConfigError("--seed conflicts with ablate.seeds; remove one")
-    ablate_cfg = cfg.get("ablate", {})
+    ablate_cfg = _section(cfg, "ablate")
     seeds = [int(s) for s in ablate_cfg.get("seeds", [])]
     if not seeds:
         raise ConfigError("ablate config needs a non-empty 'ablate.seeds' list")

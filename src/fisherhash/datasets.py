@@ -38,6 +38,16 @@ def shares_label(a: frozenset, b: frozenset) -> bool:
     return bool(a & b)
 
 
+def distinct_label_sets(label_sets) -> tuple[list, np.ndarray]:
+    """The distinct label sets in first-seen order, and each item's index into them."""
+    ids: dict = {}
+    item_ids = np.fromiter(
+        (ids.setdefault(frozenset(s), len(ids)) for s in label_sets),
+        dtype=np.intp, count=len(label_sets),
+    )
+    return list(ids), item_ids
+
+
 @dataclass
 class Dataset:
     """In-memory dataset: dim x N features, label sets, index splits."""

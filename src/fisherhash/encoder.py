@@ -205,6 +205,8 @@ def save_checkpoint(state: EncoderState, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderState:
+    """Read an FHNN checkpoint; every size the header claims is checked
+    against the bytes present before anything is allocated for it."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not an encoder checkpoint")
@@ -214,21 +216,25 @@ def load_checkpoint(path) -> EncoderState:
         version, num_layers, input_dim = (int(v) for v in head)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        layer_meta = np.frombuffer(fh.read(8 * num_layers), dtype="<u4")
-        if layer_meta.size != 2 * num_layers:
-            raise DataError(f"{path}: truncated layer table")
-        state = EncoderState()
-        fan_in = input_dim
-        for idx in range(num_layers):
-            out_dim, act_code = int(layer_meta[2 * idx]), int(layer_meta[2 * idx + 1])
-            if act_code not in _ACT_NAMES:
-                raise DataError(f"{path}: unknown activation code {act_code}")
-            w = np.frombuffer(fh.read(8 * out_dim * fan_in), dtype="<f8")
-            b = np.frombuffer(fh.read(8 * out_dim), dtype="<f8")
-            if w.size != out_dim * fan_in or b.size != out_dim:
-                raise DataError(f"{path}: truncated parameters at layer {idx}")
-            state.weights.append(w.reshape(out_dim, fan_in).copy())
-            state.biases.append(b.copy())
-            state.activations.append(_ACT_NAMES[act_code])
-            fan_in = out_dim
+        payload = fh.read()
+    if 8 * num_layers > len(payload):
+        raise DataError(f"{path}: truncated layer table")
+    layer_meta = np.frombuffer(payload, dtype="<u4", count=2 * num_layers)
+    offset = 8 * num_layers
+    state = EncoderState()
+    fan_in = input_dim
+    for idx in range(num_layers):
+        out_dim, act_code = int(layer_meta[2 * idx]), int(layer_meta[2 * idx + 1])
+        if act_code not in _ACT_NAMES:
+            raise DataError(f"{path}: unknown activation code {act_code}")
+        if offset + 8 * out_dim * (fan_in + 1) > len(payload):
+            raise DataError(f"{path}: truncated parameters at layer {idx}")
+        w = np.frombuffer(payload, dtype="<f8", count=out_dim * fan_in, offset=offset)
+        offset += w.nbytes
+        b = np.frombuffer(payload, dtype="<f8", count=out_dim, offset=offset)
+        offset += b.nbytes
+        state.weights.append(w.reshape(out_dim, fan_in).copy())
+        state.biases.append(b.copy())
+        state.activations.append(_ACT_NAMES[act_code])
+        fan_in = out_dim
     return state

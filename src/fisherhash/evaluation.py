@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .binary_codes import BinaryCodeMatrix, hamming_cross
+from .datasets import distinct_label_sets
 
 # Upper bound on the scratch distance block, in entries.
 _BLOCK_ENTRIES = 4_000_000
@@ -96,16 +97,6 @@ def relevance_matrix(query_label_sets, db_label_sets, num_classes: int) -> np.nd
     return indicators[0] @ indicators[1].T
 
 
-def _distinct(label_sets) -> tuple[list, np.ndarray]:
-    """The distinct label sets in first-seen order, and each item's index into them."""
-    ids: dict = {}
-    item_ids = np.fromiter(
-        (ids.setdefault(frozenset(s), len(ids)) for s in label_sets),
-        dtype=np.intp, count=len(label_sets),
-    )
-    return list(ids), item_ids
-
-
 @dataclass
 class MetricsReport:
     """MAP@k plus P@N / R@N and radius-swept PR curves."""
@@ -148,13 +139,16 @@ def metrics_report(
     """Rank the database for every query and compute all metrics.
 
     Queries with no relevant database item are excluded from MAP and
-    recall averages (their precision is still counted).  Rankings are
-    streamed one block of queries at a time; each query row is then
-    scored on its own: its ranked relevance comes from a table of
-    distinct query label sets x distinct database label sets, and one
-    integer running count of hits gives P@N, R@N and the hits within
-    every Hamming radius.  Per-query sums are taken in query order, so
-    every mean equals the one over the whole n_q x n_db matrices.
+    recall averages (their precision is still counted).  Queries with
+    equal code words and an equal label set form one pattern, and only
+    each pattern's first occurrence is ranked, streamed one block of
+    patterns at a time.  A pattern's row is scored once: its ranked
+    relevance comes from a table of distinct query label sets x
+    distinct database label sets, and one integer running count of hits
+    gives P@N, R@N and the hits within every Hamming radius.  A row is
+    kept for the pattern's later occurrences only, until its last.
+    Per-query sums are taken in query order, so every mean equals the
+    one over the whole n_q x n_db matrices.
     Raises ValueError for a class id outside [0, num_classes).
     """
     if len(query_label_sets) != queries.n or len(db_label_sets) != database.n:
@@ -164,8 +158,8 @@ def metrics_report(
         raise ValueError(f"every k must be in [1, {database.n}], got {ks}")
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    q_sets, q_pid = _distinct(query_label_sets)
-    db_sets, db_pid = _distinct(db_label_sets)
+    q_sets, q_pid = distinct_label_sets(query_label_sets)
+    db_sets, db_pid = distinct_label_sets(db_label_sets)
     if num_classes is None:
         num_classes = 1 + max(max(s) for s in [*q_sets, *db_sets])
     table = relevance_matrix(q_sets, db_sets, num_classes)
@@ -173,6 +167,20 @@ def metrics_report(
     n_q, n_db, k_bits = queries.n, database.n, queries.K
     n_max = n_db if max_n is None else min(int(max_n), n_db)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
+
+    # A query's scored row depends only on its code words and its
+    # distinct label set, its pattern.
+    keys = np.column_stack([queries.words, q_pid.astype(np.uint64)])
+    _, first, pattern, left = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    pattern = pattern.ravel()
+    rows = (
+        (dist_row, order_row)
+        for _, dist, order in _ranked_blocks(queries.take(np.sort(first)), database, n_db)
+        for dist_row, order_row in zip(dist, order)
+    )
+    cached = {}
 
     hits_at_1 = np.zeros(n_q)
     aps = {k: [] for k in ks}
@@ -184,24 +192,33 @@ def metrics_report(
     rel_retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
     # cum[j]: relevant items among the first j ranked.
     cum = np.zeros(n_db + 1, dtype=np.int32)
-    for start, dist, order in _ranked_blocks(queries, database, n_db):
-        for i in range(len(dist)):
-            q = start + i
-            rel = table[q_pid[q]].take(db_pid.take(order[i]))
+    for q in range(n_q):
+        p = pattern[q]
+        r_total = r_totals[q]
+        if first[p] == q:
+            dist_row, order_row = next(rows)
+            rel = table[q_pid[q]].take(db_pid.take(order_row))
             np.cumsum(rel, dtype=np.int32, out=cum[1:])
             hits = cum[1:n_max + 1]
-            hits_at_1[q] = hits[0]
-            precision_sum += hits / ns
-            r_total = r_totals[q]
-            if r_total:
-                recall_sum += hits / r_total
-                for k in ks:
-                    aps[k].append(average_precision(rel[:k], int(r_total)))
+            ap_row = [average_precision(rel[:k], int(r_total)) for k in ks] if r_total else []
             # The ranking is sorted by distance, so the items within
             # radius r are the first ends[r] ranked.
-            ends = np.bincount(dist[i], minlength=k_bits + 1).cumsum()
-            retrieved[q] = ends
-            rel_retrieved[q] = cum[ends]
+            ends = np.bincount(dist_row, minlength=k_bits + 1).cumsum()
+            row = hits, ap_row, ends, cum[ends]
+            if left[p] > 1:
+                row = cached[p] = (hits.copy(), *row[1:])
+        else:
+            row = cached[p]
+        left[p] -= 1
+        if not left[p]:
+            cached.pop(p, None)
+        hits, ap_row, retrieved[q], rel_retrieved[q] = row
+        hits_at_1[q] = hits[0]
+        precision_sum += hits / ns
+        if r_total:
+            recall_sum += hits / r_total
+            for k, ap in zip(ks, ap_row):
+                aps[k].append(ap)
 
     has_rel = r_totals > 0
     map_at = {k: float(np.mean(v)) if v else 0.0 for k, v in aps.items()}

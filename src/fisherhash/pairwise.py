@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binary_codes import BinaryCodeMatrix
+from .datasets import distinct_label_sets
 
 
 def softplus(x):
@@ -206,32 +207,66 @@ def pair_gradient(u: np.ndarray, b, pairs, params: MarginParams) -> np.ndarray:
     return 2.0 * params.psi * (u - bd) + u @ coef
 
 
+def _label_tiles(group_ids: np.ndarray, block: int) -> list:
+    """Tiles (start, end, group) of at most block items over sorted group ids.
+
+    A run of one group is cut into tiles of block items; runs shorter
+    than block share mixed tiles, so there are about n / block tiles
+    however many groups there are.  group is the tile's group id, or -1
+    for a tile holding several groups.
+    """
+    n = len(group_ids)
+    runs = np.flatnonzero(np.diff(group_ids)) + 1
+    edges = [0]
+    for start, end in zip([0, *runs], [*runs, n]):
+        if end - edges[-1] > block:
+            if edges[-1] < start:
+                edges.append(start)
+            edges.extend(range(start + block, end, block))
+    if n:
+        edges.append(n)
+    return [
+        (lo, hi, int(group_ids[lo]) if group_ids[lo] == group_ids[hi - 1] else -1)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+
+
 def pair_loss_full(u: np.ndarray, label_sets, margin: float, block: int = 128) -> float:
     """Sum of pair losses over all unordered pairs, without
-    materializing the pair sets (upper-triangle Gram blocks).
+    materializing the pair sets (upper-triangle Gram tiles).
 
-    Only the loss is computed: a block's dissimilarities are negated
-    where its items share no label, shifted by the margin and passed
-    through softplus in place.  At the default block each float64
-    temporary is 128 KB and a block's few of them stay in L2; at
+    Only the loss is computed.  Items are stably sorted by distinct label
+    set and cut into tiles of at most block items (see _label_tiles).
+    Between two tiles of one label set each, every pair has the same
+    sign, which folds into the Gram scale: -1/2 if the sets share a
+    label, +1/2 if not.  Mixed tiles take the sign per pair from a label
+    indicator.  The signed dissimilarities are shifted by the margin and
+    passed through softplus in place.  At the default block each float64
+    temporary is 128 KB and a tile's few of them stay in L2; at
     N = 4500, K = 12 on a 2-vCPU Xeon VM (2 MB of L2 per core),
     256 x 256 blocks ran 1.4x slower (median 170 vs 118 ms).
     """
-    n = u.shape[1]
-    classes = {c: k for k, c in enumerate(sorted(set().union(*label_sets)))}
-    ind = np.zeros((n, len(classes)))
-    ind[[i for i, labels in enumerate(label_sets) for _ in labels],
-        [classes[c] for labels in label_sets for c in labels]] = 1.0
-    ut = np.ascontiguousarray(u.T)
+    sets, ids = distinct_label_sets(label_sets)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    ut = np.ascontiguousarray(u.T[order])
+    classes = {c: k for k, c in enumerate(sorted(set().union(*sets)))}
+    set_ind = np.zeros((len(sets), len(classes)))
+    set_ind[[g for g, labels in enumerate(sets) for _ in labels],
+            [classes[c] for labels in sets for c in labels]] = 1.0
+    ind = set_ind[ids]
+    tiles = _label_tiles(ids, block)
     total = 0.0
-    for bi in range(0, n, block):
-        ei = min(bi + block, n)
-        for bj in range(bi, n, block):
-            ej = min(bj + block, n)
-            d = ut[bi:ei] @ ut[bj:ej].T
-            d *= -0.5
-            _check_finite(d, margin)
-            z = np.where(ind[bi:ei] @ ind[bj:ej].T > 0, d, -d)
+    for a, (bi, ei, ga) in enumerate(tiles):
+        for bj, ej, gb in tiles[a:]:
+            z = ut[bi:ei] @ ut[bj:ej].T
+            if ga >= 0 and gb >= 0:
+                z *= 0.5 if sets[ga].isdisjoint(sets[gb]) else -0.5
+                _check_finite(z, margin)
+            else:
+                z *= -0.5
+                _check_finite(z, margin)
+                z = np.where(ind[bi:ei] @ ind[bj:ej].T > 0, z, -z)
             z += margin
             _softplus_inplace(z)
             total += float((np.triu(z, 1) if bi == bj else z).sum())

@@ -85,6 +85,10 @@ class HyperParams:
             raise ValueError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
+        if self.center_inner_lr <= 0:
+            raise ValueError("center_inner_lr must be > 0")
+        if self.center_inner_steps < 1 or self.center_rounds < 1:
+            raise ValueError("center_inner_steps and center_rounds must be >= 1")
 
     @property
     def effective_phi(self) -> float:
@@ -103,8 +107,6 @@ class HyperParams:
         return self.margin if self.use_margin else 0.0
 
     def center_hyper(self) -> CenterHyper:
-        # Both normalizations keep the inner step size independent of
-        # dataset size, code length, and class count.
         return CenterHyper(
             mu=self.effective_mu,
             nu=self.effective_nu,
@@ -112,8 +114,16 @@ class HyperParams:
             inner_lr=self.center_inner_lr,
             inner_steps=self.center_inner_steps,
             rounds=self.center_rounds,
-            normalize_intra=True,
-            normalize_inter=True,
+        )
+
+    def weighted_total(self, pair: float, intra: float, inter: float, quant: float) -> float:
+        """The joint objective from its raw blocks: phi, mu and nu (after
+        the ablation flags) weigh pair, intra and inter; quant has weight 1."""
+        return (
+            self.effective_phi * pair
+            + self.effective_mu * intra
+            + self.effective_nu * inter
+            + quant
         )
 
     def ablation(self, variant: str) -> "HyperParams":
@@ -183,13 +193,7 @@ def joint_objective(u, b, c, y, pairs, hp: HyperParams):
     inter = centers_mod.inter_loss(c, a)
     quant = centers_mod.quant_loss(b, u)
     components = {"pair": pair, "intra": intra, "inter": inter, "quant": quant}
-    total = (
-        hp.effective_phi * pair
-        + hp.effective_mu * intra
-        + hp.effective_nu * inter
-        + quant
-    )
-    return total, components
+    return hp.weighted_total(**components), components
 
 
 def continuous_step_gradient(u: np.ndarray, b, pairs, hp: HyperParams) -> np.ndarray:
@@ -287,12 +291,7 @@ def train(
         intra = centers_mod.intra_loss(b, c, y)
         inter = centers_mod.inter_loss(c, a)
         quant = centers_mod.quant_loss(b, u_full)
-        total = (
-            hp.effective_phi * pair
-            + hp.effective_mu * intra
-            + hp.effective_nu * inter
-            + quant
-        )
+        total = hp.weighted_total(pair, intra, inter, quant)
         if not np.isfinite(total):
             raise NumericalError(f"non-finite objective at epoch {epoch}")
         report.records.append(

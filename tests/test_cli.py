@@ -104,8 +104,12 @@ class TestTrainCommand:
         {"phi": float("inf")},
         {"warm_start_centers": True},
         {"reinit_centers_each_epoch": True},
+        {"epochs": 0, "center_inner_steps": 0},
+        {"epochs": 0, "center_rounds": -3},
+        {"epochs": 0, "center_inner_lr": 0.0},
     ], ids=["fractional-bits", "bool-epochs", "nan-lr", "inf-phi",
-            "removed-warm-start", "removed-reinit"])
+            "removed-warm-start", "removed-reinit", "zero-center-steps",
+            "negative-center-rounds", "zero-center-lr"])
     def test_malformed_hyper_value_exits_2(self, tmp_path, probe):
         cfg_path = tmp_path / "cfg.json"
         write_train_config(cfg_path, epochs=1, extra_hyper=probe)
@@ -122,6 +126,25 @@ class TestTrainCommand:
         cfg["dataset"]["synthetic"][field] = value
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg["encoder"].update(hidden_layers=[["abc", "relu"]]),
+        lambda cfg: cfg["encoder"].update(hidden_layers=5),
+        lambda cfg: cfg["encoder"].update(hiden_layers=[[8, "relu"]]),
+        lambda cfg: cfg["dataset"]["synthetic"].update(clases=3),
+        lambda cfg: cfg["dataset"].update(manifests="manifest.json"),
+        lambda cfg: cfg.update(hyperparams={"bits": 4}),
+        lambda cfg: cfg.update(encoder=[[8, "relu"]]),
+    ], ids=["text-hidden-width", "scalar-hidden-layers", "misspelt-hidden-layers",
+            "unknown-synthetic-key", "unknown-dataset-key", "unknown-top-level-key",
+            "list-encoder-section"])
+    def test_malformed_config_section_exits_2(self, tmp_path, capsys, edit):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_train_config(cfg_path, epochs=1)
+        edit(cfg)
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        assert "error (config)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt, code", [
         (lambda m: m, 0),
@@ -231,6 +254,20 @@ class TestEncodeIndexQuery:
         lines = (q_dir / "results.csv").read_text().splitlines()
         assert lines[0] == "query,rank,item,distance"
         assert len(lines) == 1 + 3 * q_codes.n
+
+    @pytest.mark.parametrize("head", [
+        [1, 2**30, 4],
+        [1, 1, 2**31, 2**31, 0],
+    ], ids=["huge-layer-count", "huge-layer-dims"])
+    def test_checkpoint_header_sizes_beyond_file_exit_3(self, tmp_path, capsys, head):
+        # An FHNN header of (version, layers, input_dim, then per layer
+        # out_dim and activation) claiming more than the file holds.
+        (tmp_path / "enc.fhnn").write_bytes(b"FHNN" + np.array(head, dtype="<u4").tobytes())
+        write_features(tmp_path / "x.fhft", np.zeros((4, 3)))
+        code = run_cli("encode", "--checkpoint", str(tmp_path / "enc.fhnn"),
+                       "--features", str(tmp_path / "x.fhft"), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_query_k_out_of_range(self, tmp_path, capsys):
         write_eval_fixture(tmp_path)
@@ -383,6 +420,15 @@ class TestAblateCommand:
         self.ablate_config(cfg_path, seeds=[3, 3])
         assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
         assert "duplicate" in capsys.readouterr().err
+
+    def test_unknown_ablate_key_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        self.ablate_config(cfg_path, seeds=[0])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["ablate"]["seed"] = 1
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        assert "unknown key(s) in ablate config: seed" in capsys.readouterr().err
 
     def test_full_table_shape(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

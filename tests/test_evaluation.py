@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisherhash import evaluation
-from fisherhash.binary_codes import BinaryCodeMatrix
+from fisherhash.binary_codes import BinaryCodeMatrix, hamming_cross
 from fisherhash.evaluation import (
     average_precision,
     metrics_report,
@@ -277,9 +277,10 @@ class TestMetricsOutput:
 def retrieval_instances(draw):
     """Codes clustered around a few prototypes (so distances tie), label
     sets (set or frozenset) with several labels per item, shared by many
-    items or drawn per item, queries with no relevant item, every kind of
-    max_n and k, and a block size giving one block, several blocks or a
-    ragged last block."""
+    items or drawn per item, queries with no relevant item, repeated
+    queries (equal codes with equal and with different label sets), every
+    kind of max_n and k, and a block size giving one block, several blocks
+    or a ragged last block."""
     k_bits = draw(st.sampled_from([1, 7, 64, 65, 256, 300]))
     n_q = draw(st.integers(1, 24))
     n_db = draw(st.integers(1, 40))
@@ -307,10 +308,19 @@ def retrieval_instances(draw):
 
     max_n = draw(st.one_of(st.none(), st.integers(1, max(1, n_db - 1)),
                            st.integers(n_db + 1, n_db + 5)))
+    queries, query_label_sets = codes(n_q), label_sets(n_q, classes + 1)
+    if draw(st.booleans()):
+        # Each query copies the code of one of a few seed queries and, half
+        # the time, that seed's label set, else another seed's label set.
+        seeds = rng.integers(0, n_q, size=rng.integers(1, 4))
+        code_src = rng.choice(seeds, size=n_q)
+        label_src = np.where(rng.random(n_q) < 0.5, code_src, rng.choice(seeds, size=n_q))
+        queries = queries.take(code_src)
+        query_label_sets = [query_label_sets[j] for j in label_src]
     return dict(
-        queries=codes(n_q),
+        queries=queries,
         database=codes(n_db),
-        query_label_sets=label_sets(n_q, classes + 1),
+        query_label_sets=query_label_sets,
         db_label_sets=label_sets(n_db, classes),
         num_classes=classes + 1,
         ks=draw(st.lists(st.integers(1, n_db), min_size=1, max_size=3)),
@@ -329,6 +339,40 @@ class TestStreamingEngineAgainstOracle:
         with mock.patch.object(evaluation, "_BLOCK_ENTRIES", block_rows * db.n):
             got = metrics_report(**inst)
             found = search(q, db, k=k)
+        want = reference_metrics_report(**inst)
+        assert got.map_at == want.map_at
+        assert got.top_n.tobytes() == want.top_n.tobytes()
+        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
+
+    @pytest.mark.parametrize("max_n", [1, None], ids=["max_n-1", "full-prn"])
+    def test_repeated_query_patterns_rank_once_and_match_reference(self, max_n):
+        # 600 queries drawn from 15 codes, each with one of two label sets
+        # (one shared by all, one of its own): about 30 patterns, ranked
+        # in blocks of 8 rows.
+        rng = np.random.default_rng(23)
+        centers = rng.choice([-1, 1], size=(32, 5))
+        signs = centers[:, rng.integers(0, 5, size=15)]
+        protos = np.where(rng.random(signs.shape) < 0.1, -signs, signs)
+        own = [{int(c), int(c + 1) % 6} for c in rng.integers(0, 6, size=15)]
+        pick = rng.integers(0, 15, size=600)
+        q_labels = [own[j] if rng.random() < 0.5 else frozenset({0}) for j in pick]
+        q = BinaryCodeMatrix.from_signs(protos[:, pick])
+        db_signs = centers[:, rng.integers(0, 5, size=500)]
+        db = BinaryCodeMatrix.from_signs(np.where(rng.random(db_signs.shape) < 0.1, -db_signs, db_signs))
+        db_labels = [frozenset({int(c)}) for c in rng.integers(0, 6, size=500)]
+        inst = dict(queries=q, database=db, query_label_sets=q_labels,
+                    db_label_sets=db_labels, ks=[1, 50, 500], num_classes=6, max_n=max_n)
+        ranked_rows = []
+
+        def counting_hamming_cross(a, b):
+            ranked_rows.append(a.n)
+            return hamming_cross(a, b)
+
+        with mock.patch.object(evaluation, "_BLOCK_ENTRIES", 8 * db.n), \
+                mock.patch.object(evaluation, "hamming_cross", counting_hamming_cross):
+            got = metrics_report(**inst)
+        patterns = {(tuple(q.words[i]), frozenset(q_labels[i])) for i in range(q.n)}
+        assert sum(ranked_rows) == len(patterns) and len(ranked_rows) > 2
         want = reference_metrics_report(**inst)
         assert got.map_at == want.map_at
         assert got.top_n.tobytes() == want.top_n.tobytes()
@@ -361,6 +405,40 @@ class TestStreamingEngineAgainstOracle:
                     db_label_sets=db_labels, ks=[1, 100, 4000], num_classes=10)
         with mock.patch.object(evaluation, "_BLOCK_ENTRIES", 40 * db.n):
             got = metrics_report(**inst)
+        want = reference_metrics_report(**inst)
+        assert got.map_at == want.map_at
+        assert got.top_n.tobytes() == want.top_n.tobytes()
+        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
+
+    @pytest.mark.parametrize("max_n", [1, None], ids=["max_n-1", "full-prn"])
+    def test_repeated_query_patterns_rank_once_and_match_reference(self, max_n):
+        # 600 queries drawn from 15 codes, each with one of two label sets
+        # (one shared by all, one of its own): about 30 patterns, ranked
+        # in blocks of 8 rows.
+        rng = np.random.default_rng(23)
+        centers = rng.choice([-1, 1], size=(32, 5))
+        signs = centers[:, rng.integers(0, 5, size=15)]
+        protos = np.where(rng.random(signs.shape) < 0.1, -signs, signs)
+        own = [{int(c), int(c + 1) % 6} for c in rng.integers(0, 6, size=15)]
+        pick = rng.integers(0, 15, size=600)
+        q_labels = [own[j] if rng.random() < 0.5 else frozenset({0}) for j in pick]
+        q = BinaryCodeMatrix.from_signs(protos[:, pick])
+        db_signs = centers[:, rng.integers(0, 5, size=500)]
+        db = BinaryCodeMatrix.from_signs(np.where(rng.random(db_signs.shape) < 0.1, -db_signs, db_signs))
+        db_labels = [frozenset({int(c)}) for c in rng.integers(0, 6, size=500)]
+        inst = dict(queries=q, database=db, query_label_sets=q_labels,
+                    db_label_sets=db_labels, ks=[1, 50, 500], num_classes=6, max_n=max_n)
+        ranked_rows = []
+
+        def counting_hamming_cross(a, b):
+            ranked_rows.append(a.n)
+            return hamming_cross(a, b)
+
+        with mock.patch.object(evaluation, "_BLOCK_ENTRIES", 8 * db.n), \
+                mock.patch.object(evaluation, "hamming_cross", counting_hamming_cross):
+            got = metrics_report(**inst)
+        patterns = {(tuple(q.words[i]), frozenset(q_labels[i])) for i in range(q.n)}
+        assert sum(ranked_rows) == len(patterns) and len(ranked_rows) > 2
         want = reference_metrics_report(**inst)
         assert got.map_at == want.map_at
         assert got.top_n.tobytes() == want.top_n.tobytes()

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisherhash.binary_codes import BinaryCodeMatrix
+from fisherhash.datasets import distinct_label_sets
 from fisherhash.pairwise import (
     MarginParams,
+    _label_tiles,
     PairSets,
     loss_dissimilar,
     loss_similar,
@@ -306,3 +308,56 @@ class TestFullLossAgainstBlockedOracle:
         label_sets = [frozenset({i % 3}) for i in range(10)]
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="finite"):
             pair_loss_full(u, label_sets, 1.0, block=4)
+
+
+def _labels(case, rng):
+    """Label sets for one grouping shape, in shuffled item order."""
+    if case == "large-single-groups":
+        # 4 groups of about 250 items, each cut unevenly by block 96.
+        return [frozenset({int(c)}) for c in rng.integers(0, 4, size=1000)]
+    if case == "many-small-groups":
+        # about 300 groups of about 3 items: nearly every tile is mixed.
+        return [frozenset({int(c)}) for c in rng.integers(0, 300, size=900)]
+    if case == "overlapping-multi-label":
+        # up to 41 distinct sets of 1-3 of 6 classes; many pairs of
+        # distinct sets still share a label.
+        return [frozenset(int(c) for c in rng.choice(6, size=rng.integers(1, 4), replace=False))
+                for _ in range(700)]
+    if case == "one-large-group-among-small":
+        labels = [frozenset({0})] * 500 + [frozenset({int(c)}) for c in rng.integers(1, 200, 300)]
+        return [labels[i] for i in rng.permutation(len(labels))]
+    return [frozenset({7})] * 100  # one group: every tile pair is similar
+
+
+class TestGroupedFullLoss:
+    @pytest.mark.parametrize("case, block", [
+        ("large-single-groups", 96),
+        ("large-single-groups", 250),
+        ("many-small-groups", 64),
+        ("overlapping-multi-label", 50),
+        ("one-large-group-among-small", 128),
+        ("one-group", 7),
+    ])
+    def test_matches_blocked_oracle(self, case, block):
+        rng = np.random.default_rng(5)
+        label_sets = _labels(case, rng)
+        u = rng.normal(size=(12, len(label_sets)))
+        for m in (0.0, 1.0):
+            want = reference_pair_loss_full(u, label_sets, m, block=block)
+            assert pair_loss_full(u, label_sets, m, block=block) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("case, block", [
+        ("large-single-groups", 96), ("many-small-groups", 64), ("one-large-group-among-small", 128),
+    ])
+    def test_tiles_cover_items_in_about_n_over_block_tiles(self, case, block):
+        group_ids = np.sort(distinct_label_sets(_labels(case, np.random.default_rng(5)))[1])
+        tiles = _label_tiles(group_ids, block)
+        assert [lo for lo, _, _ in tiles] == [0] + [hi for _, hi, _ in tiles[:-1]]
+        assert tiles[-1][1] == len(group_ids)
+        for lo, hi, group in tiles:
+            assert 0 < hi - lo <= block
+            single = group_ids[lo] == group_ids[hi - 1]
+            assert group == (group_ids[lo] if single else -1)
+        # A tile is closed early only when the next run does not fit, so
+        # two neighbouring tiles always hold more than block items.
+        assert len(tiles) <= 2 * len(group_ids) // block + 1
