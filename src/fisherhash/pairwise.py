@@ -260,12 +260,10 @@ def pair_loss_full(u: np.ndarray, label_sets, margin: float, block: int = 128) -
     for a, (bi, ei, ga) in enumerate(tiles):
         for bj, ej, gb in tiles[a:]:
             z = ut[bi:ei] @ ut[bj:ej].T
-            if ga >= 0 and gb >= 0:
-                z *= 0.5 if sets[ga].isdisjoint(sets[gb]) else -0.5
-                _check_finite(z, margin)
-            else:
-                z *= -0.5
-                _check_finite(z, margin)
+            single = ga >= 0 and gb >= 0
+            z *= 0.5 if single and sets[ga].isdisjoint(sets[gb]) else -0.5
+            _check_finite(z, margin)
+            if not single:
                 z = np.where(ind[bi:ei] @ ind[bj:ej].T > 0, z, -z)
             z += margin
             _softplus_inplace(z)

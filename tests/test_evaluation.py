@@ -343,40 +343,6 @@ class TestStreamingEngineAgainstOracle:
         assert got.map_at == want.map_at
         assert got.top_n.tobytes() == want.top_n.tobytes()
         assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
-
-    @pytest.mark.parametrize("max_n", [1, None], ids=["max_n-1", "full-prn"])
-    def test_repeated_query_patterns_rank_once_and_match_reference(self, max_n):
-        # 600 queries drawn from 15 codes, each with one of two label sets
-        # (one shared by all, one of its own): about 30 patterns, ranked
-        # in blocks of 8 rows.
-        rng = np.random.default_rng(23)
-        centers = rng.choice([-1, 1], size=(32, 5))
-        signs = centers[:, rng.integers(0, 5, size=15)]
-        protos = np.where(rng.random(signs.shape) < 0.1, -signs, signs)
-        own = [{int(c), int(c + 1) % 6} for c in rng.integers(0, 6, size=15)]
-        pick = rng.integers(0, 15, size=600)
-        q_labels = [own[j] if rng.random() < 0.5 else frozenset({0}) for j in pick]
-        q = BinaryCodeMatrix.from_signs(protos[:, pick])
-        db_signs = centers[:, rng.integers(0, 5, size=500)]
-        db = BinaryCodeMatrix.from_signs(np.where(rng.random(db_signs.shape) < 0.1, -db_signs, db_signs))
-        db_labels = [frozenset({int(c)}) for c in rng.integers(0, 6, size=500)]
-        inst = dict(queries=q, database=db, query_label_sets=q_labels,
-                    db_label_sets=db_labels, ks=[1, 50, 500], num_classes=6, max_n=max_n)
-        ranked_rows = []
-
-        def counting_hamming_cross(a, b):
-            ranked_rows.append(a.n)
-            return hamming_cross(a, b)
-
-        with mock.patch.object(evaluation, "_BLOCK_ENTRIES", 8 * db.n), \
-                mock.patch.object(evaluation, "hamming_cross", counting_hamming_cross):
-            got = metrics_report(**inst)
-        patterns = {(tuple(q.words[i]), frozenset(q_labels[i])) for i in range(q.n)}
-        assert sum(ranked_rows) == len(patterns) and len(ranked_rows) > 2
-        want = reference_metrics_report(**inst)
-        assert got.map_at == want.map_at
-        assert got.top_n.tobytes() == want.top_n.tobytes()
-        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
         expected = reference_search(q, db, k=k)
         assert len(found) == len(expected)
         for a, b in zip(found, expected):
