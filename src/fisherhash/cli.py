@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from .datasets import (
     load_labels,
     load_manifest,
     make_synthetic,
+    write_json,
     write_labels,
 )
 from .encoder import EncoderSpec, forward, load_checkpoint
@@ -86,18 +89,52 @@ def _section(cfg: dict, name: str) -> dict:
     return section
 
 
-def _resolve_out_dir(args) -> Path:
+@contextmanager
+def _output(args, payload: dict):
+    """Stage a command's output beside --out; yield (stage dir, config hash).
+
+    The stage is a hidden `.NAME.partial` sibling of --out.  On clean
+    exit meta.json is written into it and it takes the place of --out
+    (the old directory waits in `.NAME.old` until the swap is done); on
+    any error the stage is removed and --out is left as it was.  A
+    ValueError raised inside the block is a config error.
+    """
     if args.out is None:
         raise ConfigError("an output directory is required (--out DIR)")
-    out = Path(args.out)
-    if out.exists() and any(out.iterdir()):
-        if not args.force:
+    out = Path(os.path.abspath(args.out))
+    stage, old = (out.with_name(f".{out.name}.{tag}") for tag in ("partial", "old"))
+    try:
+        if old.is_dir() and not out.exists():  # killed mid-swap: put the last result back
+            old.rename(out)
+        if out.exists() and any(out.iterdir()) and not args.force:
             raise ConfigError(
-                f"output directory {out} is not empty (pass --force to replace)"
+                f"output directory {args.out} is not empty (pass --force to replace)"
             )
-        shutil.rmtree(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        for stale in (stage, old):
+            shutil.rmtree(stale, ignore_errors=True)
+        stage.mkdir(parents=True)
+    except (NotADirectoryError, FileExistsError) as exc:
+        raise ConfigError(f"--out {args.out} is not a directory path: {exc}") from exc
+    chash = config_hash(payload)
+    try:
+        try:
+            yield stage, chash
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        write_json(stage / "meta.json", {"config_hash": chash, "resolved": payload})
+        replaced = out.exists()
+        if replaced:
+            out.rename(old)
+        try:
+            stage.rename(out)
+        except OSError:
+            if replaced:
+                old.rename(out)
+            raise
+        if replaced:
+            shutil.rmtree(old)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _check_threads(args) -> None:
@@ -167,13 +204,6 @@ def _resolved_payload(cfg: dict, args, command: str) -> dict:
     return payload
 
 
-def _write_meta(out: Path, payload: dict, chash: str) -> None:
-    meta = {"config_hash": chash, "resolved": payload}
-    (out / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def _encode_features(state, features: np.ndarray) -> BinaryCodeMatrix:
     u, _ = forward(state, features)
     return BinaryCodeMatrix.from_values(u)
@@ -189,16 +219,10 @@ def cmd_train(args) -> int:
     dataset = _build_dataset(cfg, base_dir)
     hp = _build_hyper(cfg, args)
     spec = _build_encoder_spec(cfg, dataset, hp)
-    payload = _resolved_payload(cfg, args, "train")
-    chash = config_hash(payload)
-    out = _resolve_out_dir(args)
-    try:
-        report = train(dataset, hp, spec, out_dir=out, config_hash=chash)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write_meta(out, payload, chash)
+    with _output(args, _resolved_payload(cfg, args, "train")) as (stage, chash):
+        report = train(dataset, hp, spec, out_dir=stage, config_hash=chash)
     print(f"trained {hp.epochs} epochs; training MAP {report.train_map:.4f}; "
-          f"artifacts in {out} (config {chash})")
+          f"artifacts in {args.out} (config {chash})")
     return EXIT_OK
 
 
@@ -211,15 +235,14 @@ def cmd_encode(args) -> int:
     state = load_checkpoint(args.checkpoint)
     features = load_features(args.features)
     codes = _encode_features(state, features)
-    out = _resolve_out_dir(args)
-    codes.save(out / "codes.fhsh")
     payload = {
         "command": "encode",
         "checkpoint": str(args.checkpoint),
         "features": str(args.features),
     }
-    _write_meta(out, payload, config_hash(payload))
-    print(f"encoded {codes.n} items at {codes.K} bits -> {out / 'codes.fhsh'}")
+    with _output(args, payload) as (stage, _):
+        codes.save(stage / "codes.fhsh")
+    print(f"encoded {codes.n} items at {codes.K} bits -> {Path(args.out) / 'codes.fhsh'}")
     return EXIT_OK
 
 
@@ -229,26 +252,12 @@ def cmd_encode(args) -> int:
 def cmd_index(args) -> int:
     codes = BinaryCodeMatrix.load(args.codes)
     _, label_sets = load_labels(args.labels, num_classes=args.classes, n_items=codes.n)
-    out = _resolve_out_dir(args)
-    codes.save(out / "codes.fhsh")
-    write_labels(out / "labels.txt", label_sets)
-    payload = {
-        "command": "index",
-        "name": args.name,
-        "bits": codes.K,
-        "items": codes.n,
-        "classes": args.classes,
-    }
-    chash = config_hash(payload)
-    (out / "index.json").write_text(
-        json.dumps(
-            {"name": args.name, "bits": codes.K, "items": codes.n,
-             "classes": args.classes, "config_hash": chash},
-            indent=2, sort_keys=True,
-        ) + "\n",
-        encoding="utf-8",
-    )
-    print(f"indexed {codes.n} items ({codes.K} bits) as {args.name!r} in {out}")
+    index = {"name": args.name, "bits": codes.K, "items": codes.n, "classes": args.classes}
+    with _output(args, {"command": "index", **index}) as (stage, chash):
+        codes.save(stage / "codes.fhsh")
+        write_labels(stage / "labels.txt", label_sets)
+        write_json(stage / "index.json", {**index, "config_hash": chash})
+    print(f"indexed {codes.n} items ({codes.K} bits) as {args.name!r} in {args.out}")
     return EXIT_OK
 
 
@@ -279,16 +288,16 @@ def cmd_query(args) -> int:
         raise ConfigError(f"--k must be in [1, {db_codes.n}], got {args.k}")
     _check_threads(args)
     results = search(queries, db_codes, k=args.k)
-    out = _resolve_out_dir(args)
-    with open(out / "results.csv", "w", encoding="utf-8") as fh:
+    payload = {"command": "query", "index": str(args.index),
+               "queries": str(args.queries), "k": args.k}
+    with (_output(args, payload) as (stage, _),
+          open(stage / "results.csv", "w", encoding="utf-8") as fh):
         fh.write("query,rank,item,distance\n")
         for res in results:
             for rank, (item, dist) in enumerate(zip(res.indices, res.distances), 1):
                 fh.write(f"{res.query},{rank},{item},{dist}\n")
-    payload = {"command": "query", "index": str(args.index),
-               "queries": str(args.queries), "k": args.k}
-    _write_meta(out, payload, config_hash(payload))
-    print(f"wrote top-{args.k} results for {queries.n} queries to {out / 'results.csv'}")
+    print(f"wrote top-{args.k} results for {queries.n} queries to "
+          f"{Path(args.out) / 'results.csv'}")
     return EXIT_OK
 
 
@@ -312,19 +321,14 @@ def cmd_eval(args) -> int:
         "query_codes": str(args.query_codes),
         "ks": ks,
     }
-    chash = config_hash(payload)
     _check_threads(args)
-    try:
+    with _output(args, payload) as (stage, chash):
         report = metrics_report(
             query_codes, db_codes, query_labels, db_labels,
             ks=ks, num_classes=args.classes, config_hash=chash,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = _resolve_out_dir(args)
-    write_metrics_csv(report, out)
-    write_metrics_json(report, out / "report.json")
-    _write_meta(out, payload, chash)
+        write_metrics_csv(report, stage)
+        write_metrics_json(report, stage / "report.json")
     shown = ", ".join(f"MAP@{k}={v:.4f}" for k, v in sorted(report.map_at.items()))
     print(f"evaluated {query_codes.n} queries against {db_codes.n} items: {shown}")
     return EXIT_OK
@@ -360,54 +364,45 @@ def cmd_ablate(args) -> int:
     if args.seed is not None:
         raise ConfigError("--seed conflicts with ablate.seeds; remove one")
     ablate_cfg = _section(cfg, "ablate")
-    seeds = [int(s) for s in ablate_cfg.get("seeds", [])]
-    if not seeds:
-        raise ConfigError("ablate config needs a non-empty 'ablate.seeds' list")
+    seeds = ablate_cfg.get("seeds")
+    if not isinstance(seeds, list) or not seeds or any(type(s) is not int for s in seeds):
+        raise ConfigError(f"ablate.seeds must be a non-empty list of integers, got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"duplicate seeds in ablate.seeds: {seeds}")
     variants = ablate_cfg.get("variants", list(ABLATION_VARIANTS))
-    for v in variants:
-        if v not in ABLATION_VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}; choose from {ABLATION_VARIANTS}")
-    payload = _resolved_payload(cfg, args, "ablate")
-    chash = config_hash(payload)
-    out = _resolve_out_dir(args)
+    if not isinstance(variants, list) or any(v not in ABLATION_VARIANTS for v in variants) \
+            or len(set(variants)) != len(variants):
+        raise ConfigError(f"ablate.variants must be a list of distinct names from "
+                          f"{ABLATION_VARIANTS}, got {variants!r}")
 
-    rows = []
-    for variant in variants:
-        for seed in seeds:
-            run_cfg = json.loads(json.dumps(cfg))  # deep copy
-            run_cfg.setdefault("hyper", {})["seed"] = seed
-            syn = run_cfg.get("dataset", {}).get("synthetic")
-            if syn is not None:
-                # fresh draw per run: each seed sees its own blobs
-                syn["seed"] = int(syn.get("seed", 0)) + seed
-            dataset = _build_dataset(run_cfg, base_dir)
-            hp = _build_hyper(run_cfg, args).ablation(variant)
-            spec = _build_encoder_spec(run_cfg, dataset, hp)
-            run_dir = out / f"{variant.replace('+', '_')}_seed{seed}"
-            run_dir.mkdir(parents=True)
-            try:
+    with _output(args, _resolved_payload(cfg, args, "ablate")) as (stage, chash):
+        rows = []
+        for variant in variants:
+            for seed in seeds:
+                run_cfg = json.loads(json.dumps(cfg))  # deep copy
+                run_cfg.setdefault("hyper", {})["seed"] = seed
+                syn = run_cfg.get("dataset", {}).get("synthetic")
+                if syn is not None:
+                    # fresh draw per run: each seed sees its own blobs
+                    syn["seed"] = int(syn.get("seed", 0)) + seed
+                dataset = _build_dataset(run_cfg, base_dir)
+                hp = _build_hyper(run_cfg, args).ablation(variant)
+                spec = _build_encoder_spec(run_cfg, dataset, hp)
+                run_dir = stage / f"{variant.replace('+', '_')}_seed{seed}"
                 train(dataset, hp, spec, out_dir=run_dir, config_hash=chash)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            score = _eval_split_map(run_dir, dataset)
-            rows.append((variant, seed, score))
-            print(f"{variant:11s} seed={seed} MAP={score:.4f}")
+                score = _eval_split_map(run_dir, dataset)
+                rows.append((variant, seed, score))
+                print(f"{variant:11s} seed={seed} MAP={score:.4f}")
 
-    with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
-        fh.write("variant,seed,map\n")
-        for variant, seed, score in rows:
-            fh.write(f"{variant},{seed},{score!r}\n")
-    medians = {
-        v: float(np.median([r[2] for r in rows if r[0] == v]))
-        for v in variants
-    }
-    summary = {"config_hash": chash, "medians": medians}
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_meta(out, payload, chash)
+        with open(stage / "ablation.csv", "w", encoding="utf-8") as fh:
+            fh.write("variant,seed,map\n")
+            for variant, seed, score in rows:
+                fh.write(f"{variant},{seed},{score!r}\n")
+        medians = {
+            v: float(np.median([r[2] for r in rows if r[0] == v]))
+            for v in variants
+        }
+        write_json(stage / "summary.json", {"config_hash": chash, "medians": medians})
     print("medians: " + ", ".join(f"{v}={m:.4f}" for v, m in medians.items()))
     return EXIT_OK
 
@@ -424,13 +419,12 @@ def cmd_curves(args) -> int:
         raise ConfigError("--margins needs at least one value")
     if any(m < 0 for m in margins):
         raise ConfigError("margins must be >= 0")
-    out = _resolve_out_dir(args)
-    write_loss_curves(out / "curves.csv", margins,
-                      d_min=args.d_min, d_max=args.d_max, points=args.points)
     payload = {"command": "curves", "margins": margins,
                "d_min": args.d_min, "d_max": args.d_max, "points": args.points}
-    _write_meta(out, payload, config_hash(payload))
-    print(f"wrote loss curves for m in {margins} to {out / 'curves.csv'}")
+    with _output(args, payload) as (stage, _):
+        write_loss_curves(stage / "curves.csv", margins,
+                          d_min=args.d_min, d_max=args.d_max, points=args.points)
+    print(f"wrote loss curves for m in {margins} to {Path(args.out) / 'curves.csv'}")
     return EXIT_OK
 
 
@@ -446,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "ranks on one thread and no result depends on it")
     common.add_argument("--out", help="output directory")
     common.add_argument("--force", action="store_true",
-                        help="replace a non-empty output directory")
+                        help="replace a non-empty output directory once the run succeeds")
     common.add_argument("--json", action="store_true",
                         help="machine-readable errors on stderr")
 

@@ -33,11 +33,6 @@ def label_matrix(label_sets, num_classes: int) -> np.ndarray:
     return y
 
 
-def shares_label(a: frozenset, b: frozenset) -> bool:
-    """Ground-truth similarity: the two label sets intersect."""
-    return bool(a & b)
-
-
 def distinct_label_sets(label_sets) -> tuple[list, np.ndarray]:
     """The distinct label sets in first-seen order, and each item's index into them."""
     ids: dict = {}
@@ -194,21 +189,22 @@ class DatasetManifest:
     num_classes: int
     splits: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "feature_path": self.feature_path,
-            "label_path": self.label_path,
-            "input_dim": self.input_dim,
-            "n_items": self.n_items,
-            "num_classes": self.num_classes,
-            "splits": {k: list(map(int, v)) for k, v in self.splits.items()},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+def write_json(path, payload) -> None:
+    """Write payload as indented, key-sorted JSON plus a newline: every JSON artifact's layout."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    Path(path).write_text(manifest.to_json() + "\n", encoding="utf-8")
+    write_json(path, {
+        "name": manifest.name,
+        "feature_path": manifest.feature_path,
+        "label_path": manifest.label_path,
+        "input_dim": manifest.input_dim,
+        "n_items": manifest.n_items,
+        "num_classes": manifest.num_classes,
+        "splits": {k: list(map(int, v)) for k, v in manifest.splits.items()},
+    })
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -10,14 +10,13 @@ time from that query's ranked relevance and its running hit count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .binary_codes import BinaryCodeMatrix, hamming_cross
-from .datasets import distinct_label_sets
+from .datasets import distinct_label_sets, write_json
 
 # Upper bound on the scratch distance block, in entries.
 _BLOCK_ENTRIES = 4_000_000
@@ -289,7 +288,4 @@ def write_metrics_csv(report: MetricsReport, out_dir) -> dict:
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, report.as_dict())

@@ -24,7 +24,7 @@ from . import centers as centers_mod
 from . import encoder as encoder_mod
 from .binary_codes import BinaryCodeMatrix
 from .centers import CenterHyper, init_centers, target_matrix, update_centers, update_codes
-from .datasets import Dataset
+from .datasets import Dataset, write_json
 from .evaluation import metrics_report
 from .exceptions import NumericalError
 from .pairwise import MarginParams, loss_dissimilar, loss_similar, pair_loss_full
@@ -334,9 +334,7 @@ def _save_artifacts(out_dir, state, b, c, v, report: TrainReport) -> None:
     with open(paths["centers_v"], "wb") as fh:
         fh.write(np.ascontiguousarray(v.T, dtype="<f8").tobytes())
     report.artifacts = {k: p.name for k, p in paths.items()}
-    with open(paths["report_json"], "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["report_json"], report.as_dict())
     with open(paths["report_csv"], "w", encoding="utf-8") as fh:
         fh.write("epoch,pair_loss,intra_loss,inter_loss,quant_loss,total\n")
         for r in report.records:

@@ -1,5 +1,7 @@
+import errno
 import json
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -430,6 +432,24 @@ class TestAblateCommand:
         assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
         assert "unknown key(s) in ablate config: seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds, variants", [
+        (["abc"], None),
+        (5, None),
+        ([1.5], None),
+        ([True], None),
+        ([0], "full"),
+        ([0], ["full", "nope"]),
+        ([0], ["pair", "pair"]),
+    ], ids=["text-seed", "scalar-seeds", "fractional-seed", "bool-seed", "string-variants",
+            "unknown-variant", "duplicate-variant"])
+    def test_malformed_seeds_or_variants_exit_2(self, tmp_path, capsys, seeds, variants):
+        cfg_path = tmp_path / "cfg.json"
+        self.ablate_config(cfg_path, seeds=seeds, variants=variants)
+        out = tmp_path / "o"
+        assert run_cli("ablate", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert "error (config): ablate." in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_full_table_shape(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         self.ablate_config(cfg_path, seeds=[0, 1])
@@ -452,3 +472,109 @@ class TestCurvesCommand:
 
     def test_negative_margin_rejected(self, tmp_path):
         assert run_cli("curves", "--margins", "-1", "--out", str(tmp_path / "c")) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--points", "1"],
+        ["--d-min", "5", "--d-max", "1"],
+        ["--d-max", "nan"],
+    ], ids=["one-point", "reversed-range", "nan-d-max"])
+    def test_bad_range_exits_2_and_leaves_no_directory(self, tmp_path, capsys, flags):
+        assert run_cli("curves", *flags, "--out", str(tmp_path / "c")) == 2
+        assert "error (config)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def curves(out, *flags):
+    return run_cli("curves", "--points", "5", "--out", str(out), *flags)
+
+
+def eval_into(tmp_path, out, *flags):
+    return run_cli("eval", "--db-codes", str(tmp_path / "db.fhsh"),
+                   "--db-labels", str(tmp_path / "db_labels.txt"),
+                   "--query-codes", str(tmp_path / "q.fhsh"),
+                   "--query-labels", str(tmp_path / "q_labels.txt"),
+                   "--classes", "3", "--ks", "1,2,5", "--out", str(out), *flags)
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "path-below-file"])
+    def test_out_on_a_file_exits_2(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile / "sub" if below else afile
+        assert curves(out) == 2
+        assert curves(out, "--force") == 2
+        assert "error (config)" in capsys.readouterr().err
+        assert afile.read_text() == "keep"
+        assert list(tmp_path.iterdir()) == [afile]
+
+    def test_stale_siblings_of_a_killed_run_are_cleared(self, tmp_path):
+        out = tmp_path / "c"
+        for stale in (".c.partial", ".c.old"):
+            (tmp_path / stale).mkdir()
+            (tmp_path / stale / "junk").write_text("x")
+        out.mkdir()
+        (out / "old.txt").write_text("old")
+        assert curves(out, "--force") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c"]
+        assert sorted(snapshot(out)) == ["curves.csv", "meta.json"]
+
+    def test_result_moved_aside_by_a_killed_swap_is_put_back(self, tmp_path):
+        old = tmp_path / ".c.old"
+        old.mkdir()
+        (old / "curves.csv").write_text("last good")
+        assert curves(tmp_path / "c") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c"]
+        assert (tmp_path / "c" / "curves.csv").read_text() == "last good"
+
+    def test_output_directory_has_plain_mkdir_mode(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        assert curves(tmp_path / "c") == 0
+        assert (tmp_path / "c").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fail_after_csv(report, path):
+    assert (path.parent / "map.csv").exists()  # write_metrics_csv ran first
+    disk_full()
+
+
+class TestCrashSafety:
+    """A failure after the first artifact write leaves --out as it was."""
+
+    @staticmethod
+    def fails_leaving_out_as_it_was(tmp_path, out, run):
+        names = sorted(p.name for p in tmp_path.iterdir())  # no .NAME.partial/.NAME.old after
+        before = snapshot(out) if out.exists() else None
+        with pytest.raises(OSError, match="No space"):
+            run()
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert (snapshot(out) if out.exists() else None) == before
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["fresh", "force"])
+    def test_eval_failure_after_metrics_csv(self, tmp_path, monkeypatch, forced):
+        write_eval_fixture(tmp_path)
+        out = tmp_path / "m"
+        if forced:
+            assert eval_into(tmp_path, out) == 0
+        monkeypatch.setattr("fisherhash.cli.write_metrics_json", fail_after_csv)
+        self.fails_leaving_out_as_it_was(
+            tmp_path, out, lambda: eval_into(tmp_path, out, "--ks", "1", "--force"))
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["fresh", "force"])
+    def test_train_failure_after_checkpoint_and_codes(self, tmp_path, monkeypatch, forced):
+        cfg_path = tmp_path / "cfg.json"
+        write_train_config(cfg_path, epochs=1)
+        out = tmp_path / "run"
+        if forced:
+            assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 0
+        monkeypatch.setattr("fisherhash.training.write_json", disk_full)
+        self.fails_leaving_out_as_it_was(tmp_path, out, lambda: run_cli(
+            "train", "--config", str(cfg_path), "--out", str(out), "--seed", "8", "--force"))

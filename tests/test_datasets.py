@@ -11,7 +11,6 @@ from fisherhash.datasets import (
     load_manifest,
     make_synthetic,
     save_manifest,
-    shares_label,
     write_features,
     write_labels,
 )
@@ -100,14 +99,6 @@ class TestLabelFile:
 
 
 class TestLabelMatrixAndSimilarity:
-    def test_similarity_is_symmetric_and_label_equality_for_single(self):
-        sets = [frozenset({0}), frozenset({1}), frozenset({0})]
-        for a in sets:
-            for b in sets:
-                assert shares_label(a, b) == shares_label(b, a)
-        assert shares_label(sets[0], sets[2])
-        assert not shares_label(sets[0], sets[1])
-
     def test_label_matrix_rejects_empty(self):
         with pytest.raises(DataError, match="no labels"):
             label_matrix([frozenset()], 3)
