@@ -22,16 +22,6 @@ def _num_words(k: int) -> int:
     return (k + WORD_BITS - 1) // WORD_BITS
 
 
-def _pad_mask(k: int) -> np.ndarray:
-    """Words with ones at the K valid bit positions, zeros at padding."""
-    w = _num_words(k)
-    mask = np.full(w, np.uint64(0xFFFFFFFFFFFFFFFF))
-    tail = k % WORD_BITS
-    if tail:
-        mask[-1] = np.uint64((1 << tail) - 1)
-    return mask
-
-
 def _pack_bool(bits: np.ndarray) -> np.ndarray:
     """Pack a boolean (n, K) array into (n, W) uint64, True <-> +1.
 

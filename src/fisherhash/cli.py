@@ -27,6 +27,7 @@ from .datasets import (
     load_labels,
     load_manifest,
     make_synthetic,
+    read_text,
     write_json,
     write_labels,
 )
@@ -251,7 +252,7 @@ def cmd_encode(args) -> int:
 
 def cmd_index(args) -> int:
     codes = BinaryCodeMatrix.load(args.codes)
-    _, label_sets = load_labels(args.labels, num_classes=args.classes, n_items=codes.n)
+    label_sets = load_labels(args.labels, num_classes=args.classes, n_items=codes.n)
     index = {"name": args.name, "bits": codes.K, "items": codes.n, "classes": args.classes}
     with _output(args, {"command": "index", **index}) as (stage, chash):
         codes.save(stage / "codes.fhsh")
@@ -267,14 +268,14 @@ def _load_index(path) -> tuple[BinaryCodeMatrix, list, int]:
     if not meta_path.exists():
         raise DataError(f"not an index directory (missing index.json): {idx_dir}")
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path}: invalid JSON: {exc}") from exc
     classes = meta.get("classes") if isinstance(meta, dict) else None
     if type(classes) is not int:
         raise DataError(f"{meta_path}: must be a JSON object with an integer 'classes' field")
     codes = BinaryCodeMatrix.load(idx_dir / "codes.fhsh")
-    _, label_sets = load_labels(idx_dir / "labels.txt", num_classes=classes, n_items=codes.n)
+    label_sets = load_labels(idx_dir / "labels.txt", num_classes=classes, n_items=codes.n)
     return codes, label_sets, classes
 
 
@@ -307,10 +308,8 @@ def cmd_query(args) -> int:
 def cmd_eval(args) -> int:
     db_codes = BinaryCodeMatrix.load(args.db_codes)
     query_codes = BinaryCodeMatrix.load(args.query_codes)
-    _, db_labels = load_labels(args.db_labels, num_classes=args.classes, n_items=db_codes.n)
-    _, query_labels = load_labels(
-        args.query_labels, num_classes=args.classes, n_items=query_codes.n
-    )
+    db_labels = load_labels(args.db_labels, num_classes=args.classes, n_items=db_codes.n)
+    query_labels = load_labels(args.query_labels, num_classes=args.classes, n_items=query_codes.n)
     try:
         ks = [int(k) for k in args.ks.split(",") if k]
     except ValueError as exc:

@@ -146,35 +146,63 @@ def write_labels(path, label_sets) -> None:
             fh.write(f"{i}: " + " ".join(str(c) for c in sorted(labels)) + "\n")
 
 
-def load_labels(path, num_classes: int, n_items: int):
-    """Parse a label file; returns (label matrix, per-item label sets)."""
+def read_text(path) -> str:
+    """A file's UTF-8 text; a directory or undecodable bytes are a DataError.
+
+    A missing file still raises FileNotFoundError, which callers report
+    with their own wording.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError as exc:
+        raise DataError(f"{path}: is a directory, not a file") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_labels(path, num_classes: int, n_items: int) -> list:
+    """Parse a label file into per-item label sets (frozensets of class ids).
+
+    Each distinct label text (the part after ':') is parsed once, and
+    items with equal texts share one frozenset.  Raises DataError naming
+    the first bad line, then the first item without labels, then the
+    first item with a class id outside [0, num_classes).
+    """
     sets: list = [None] * n_items
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(":")
-            try:
-                idx = int(head)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad item index {head!r}") from exc
-            if not 0 <= idx < n_items:
-                raise DataError(f"{path}:{lineno}: item index {idx} out of range")
-            if sets[idx] is not None:
-                raise DataError(f"{path}:{lineno}: duplicate labels for item {idx}")
+    parsed: dict = {}
+    # Universal newlines turn \r\n and \r into \n, as line iteration would.
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(":")
+        try:
+            idx = int(head)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad item index {head!r}") from exc
+        if not 0 <= idx < n_items:
+            raise DataError(f"{path}:{lineno}: item index {idx} out of range")
+        if sets[idx] is not None:
+            raise DataError(f"{path}:{lineno}: duplicate labels for item {idx}")
+        labels = parsed.get(rest)
+        if labels is None:
             classes = rest.split()
             if not classes:
                 raise DataError(f"{path}:{lineno}: empty label row for item {idx}")
             try:
-                labels = frozenset(int(c) for c in classes)
+                labels = parsed[rest] = frozenset(int(c) for c in classes)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad class id") from exc
-            sets[idx] = labels
+        sets[idx] = labels
     missing = [i for i, s in enumerate(sets) if s is None]
     if missing:
         raise DataError(f"{path}: no labels for item {missing[0]}")
-    return label_matrix(sets, num_classes), sets
+    bad = {s for s in parsed.values() if not all(0 <= c < num_classes for c in s)}
+    if bad:
+        i, labels = next((i, s) for i, s in enumerate(sets) if s in bad)
+        c = next(c for c in labels if not 0 <= c < num_classes)
+        raise DataError(f"item {i}: class id {c} out of range for M={num_classes}")
+    return sets
 
 
 @dataclass
@@ -209,9 +237,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path) -> DatasetManifest:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -243,7 +269,7 @@ def load_dataset(manifest: DatasetManifest, base_dir=None) -> Dataset:
         if not p.exists():
             raise DataError(f"dataset file not found: {p}")
     features = load_features(feature_path, manifest.input_dim, manifest.n_items)
-    _, label_sets = load_labels(label_path, manifest.num_classes, manifest.n_items)
+    label_sets = load_labels(label_path, manifest.num_classes, manifest.n_items)
     return Dataset(
         name=manifest.name,
         features=features,

@@ -10,6 +10,7 @@ time from that query's ranked relevance and its running hit count.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,19 +32,24 @@ class RankedResult:
     distances: np.ndarray
 
 
-def _ranked_blocks(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int):
+def _ranked_blocks(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int, inverse=None):
     """Stable Hamming ranking of the database, one block of queries at a time.
 
     Yields (start, dist, order) per block: the unsorted distances of
-    queries start, start + 1, ... and the first k columns of their stable
-    argsort.  Distances are small unsigned ints, so the sort is a radix
-    sort, and ties keep ascending database order.
+    queries start, start + 1, ... to the database codes, and the first k
+    columns of the stable argsort of their distances to the database
+    items.  Distances are small unsigned ints, so the sort is a radix
+    sort, and ties keep ascending item order.  With `inverse`, `database`
+    holds distinct codes and item j has code inverse[j]: each block is
+    measured against the codes and taken out to the items.
     """
-    n_q, n_db = queries.n, database.n
+    n_q = queries.n
+    n_db = database.n if inverse is None else inverse.size
     block = max(1, _BLOCK_ENTRIES // n_db)
     for start in range(0, n_q, block):
         dist = hamming_cross(queries.take(range(start, min(start + block, n_q))), database)
-        yield start, dist, np.argsort(dist, axis=1, kind="stable")[:, :k]
+        item_dist = dist if inverse is None else dist.take(inverse, axis=1)
+        yield start, dist, np.argsort(item_dist, axis=1, kind="stable")[:, :k]
 
 
 def search(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int) -> list[RankedResult]:
@@ -108,22 +114,6 @@ class MetricsReport:
     config_hash: str | None = None
     extra: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "n_queries": self.n_queries,
-            "n_database": self.n_database,
-            "map": {str(k): v for k, v in self.map_at.items()},
-            "top_n": [
-                {"n": int(n), "precision": p, "recall": r} for n, p, r in self.top_n
-            ],
-            "pr_radius": [
-                {"radius": int(r), "precision": p, "recall": rc}
-                for r, p, rc in self.pr_radius
-            ],
-            **self.extra,
-        }
-
 
 def metrics_report(
     queries: BinaryCodeMatrix,
@@ -141,11 +131,15 @@ def metrics_report(
     recall averages (their precision is still counted).  Queries with
     equal code words and an equal label set form one pattern, and only
     each pattern's first occurrence is ranked, streamed one block of
-    patterns at a time.  A pattern's row is scored once: its ranked
-    relevance comes from a table of distinct query label sets x
-    distinct database label sets, and one integer running count of hits
-    gives P@N, R@N and the hits within every Hamming radius.  A row is
-    kept for the pattern's later occurrences only, until its last.
+    patterns at a time.  Each block is measured against the distinct
+    database codes only and taken out to the items, so the stable item
+    ranking is the one over all items; the items within each Hamming
+    radius are counted from the code counts.  A pattern's row is scored
+    once: its ranked relevance comes from a table of distinct query
+    label sets x distinct database label sets, and one integer running
+    count of hits gives P@N, R@N and the hits within every Hamming
+    radius.  A row is kept for the pattern's later occurrences only,
+    until its last.
     Per-query sums are taken in query order, so every mean equals the
     one over the whole n_q x n_db matrices.
     Raises ValueError for a class id outside [0, num_classes).
@@ -167,6 +161,10 @@ def metrics_report(
     n_max = n_db if max_n is None else min(int(max_n), n_db)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
 
+    codes, inverse, code_counts = np.unique(
+        database.words, axis=0, return_inverse=True, return_counts=True
+    )
+    codes = BinaryCodeMatrix(database.K, codes)
     # A query's scored row depends only on its code words and its
     # distinct label set, its pattern.
     keys = np.column_stack([queries.words, q_pid.astype(np.uint64)])
@@ -176,7 +174,9 @@ def metrics_report(
     pattern = pattern.ravel()
     rows = (
         (dist_row, order_row)
-        for _, dist, order in _ranked_blocks(queries.take(np.sort(first)), database, n_db)
+        for _, dist, order in _ranked_blocks(
+            queries.take(np.sort(first)), codes, n_db, inverse.ravel()
+        )
         for dist_row, order_row in zip(dist, order)
     )
     cached = {}
@@ -185,6 +185,7 @@ def metrics_report(
     aps = {k: [] for k in ks}
     precision_sum = np.zeros(n_max)
     recall_sum = np.zeros(n_max)
+    scratch = np.empty(n_max)
     # Radius sweep: counts of retrieved / relevant-retrieved per query
     # at Hamming distance <= r, for r = 0..K.
     retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
@@ -201,8 +202,10 @@ def metrics_report(
             hits = cum[1:n_max + 1]
             ap_row = [average_precision(rel[:k], int(r_total)) for k in ks] if r_total else []
             # The ranking is sorted by distance, so the items within
-            # radius r are the first ends[r] ranked.
-            ends = np.bincount(dist_row, minlength=k_bits + 1).cumsum()
+            # radius r are the first ends[r] ranked: the items of every
+            # code within r.
+            ends = np.bincount(dist_row, code_counts, minlength=k_bits + 1)
+            ends = ends.cumsum().astype(np.intp)
             row = hits, ap_row, ends, cum[ends]
             if left[p] > 1:
                 row = cached[p] = (hits.copy(), *row[1:])
@@ -213,9 +216,9 @@ def metrics_report(
             cached.pop(p, None)
         hits, ap_row, retrieved[q], rel_retrieved[q] = row
         hits_at_1[q] = hits[0]
-        precision_sum += hits / ns
+        precision_sum += np.divide(hits, ns, out=scratch)
         if r_total:
-            recall_sum += hits / r_total
+            recall_sum += np.divide(hits, r_total, out=scratch)
             for k, ap in zip(ks, ap_row):
                 aps[k].append(ap)
 
@@ -257,35 +260,63 @@ def metrics_report(
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_metrics_csv(report: MetricsReport, out_dir) -> dict:
-    """Write map.csv, prn.csv, pr.csv; returns the created paths."""
+    """Write map.csv, prn.csv, pr.csv; returns the created paths.
+
+    Floats are written with 17 significant digits, so they read back
+    exactly.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tables = {
+        "map": ("k,map\n", "%s,%.17g\n", sorted(report.map_at.items())),
+        "prn": ("N,precision,recall\n", "%d,%.17g,%.17g\n", report.top_n.tolist()),
+        "pr": ("radius,precision,recall\n", "%d,%.17g,%.17g\n", report.pr_radius.tolist()),
+    }
     paths = {}
-    map_path = out / "map.csv"
-    with open(map_path, "w", encoding="utf-8") as fh:
-        fh.write("k,map\n")
-        for k, v in sorted(report.map_at.items()):
-            fh.write(f"{k},{_fmt(v)}\n")
-    paths["map"] = map_path
-    prn_path = out / "prn.csv"
-    with open(prn_path, "w", encoding="utf-8") as fh:
-        fh.write("N,precision,recall\n")
-        for n, p, r in report.top_n:
-            fh.write(f"{int(n)},{_fmt(p)},{_fmt(r)}\n")
-    paths["prn"] = prn_path
-    pr_path = out / "pr.csv"
-    with open(pr_path, "w", encoding="utf-8") as fh:
-        fh.write("radius,precision,recall\n")
-        for r, p, rc in report.pr_radius:
-            fh.write(f"{int(r)},{_fmt(p)},{_fmt(rc)}\n")
-    paths["pr"] = pr_path
+    for name, (head, line, rows) in tables.items():
+        paths[name] = out / f"{name}.csv"
+        paths[name].write_text(head + "".join([line % tuple(r) for r in rows]), encoding="utf-8")
     return paths
 
 
+# One indented report.json row per table row: its keys in sort_keys
+# order, and the table columns that fill them.
+_JSON_ROWS = {
+    "top_n": ('    {\n      "n": %d,\n      "precision": %r,\n      "recall": %r\n    }', [0, 1, 2]),
+    "pr_radius": ('    {\n      "precision": %r,\n      "radius": %d,\n      "recall": %r\n    }',
+                  [1, 0, 2]),
+}
+
+
 def write_metrics_json(report: MetricsReport, path) -> None:
-    write_json(path, report.as_dict())
+    """Write report.json in `write_json`'s layout.
+
+    The header goes through json.dumps with a placeholder per row table,
+    and the rows are formatted with float repr, as json formats finite
+    floats.  json writes NaN and Infinity where repr gives nan and inf,
+    so a table with a non-finite value goes through json.dumps whole.
+    """
+    header = {
+        "config_hash": report.config_hash,
+        "n_queries": report.n_queries,
+        "n_database": report.n_database,
+        "map": {str(k): v for k, v in report.map_at.items()},
+        **report.extra,
+    }
+    tables = {"top_n": report.top_n, "pr_radius": report.pr_radius}
+    if not all(np.isfinite(t).all() for t in tables.values()):
+        write_json(path, {
+            "top_n": [{"n": int(n), "precision": p, "recall": r} for n, p, r in report.top_n],
+            "pr_radius": [{"radius": int(r), "precision": p, "recall": rc}
+                          for r, p, rc in report.pr_radius],
+            **header,
+        })
+        return
+    text = json.dumps({**header, **{k: "\0" + k for k in tables}}, indent=2, sort_keys=True)
+    for key, table in tables.items():
+        row, columns = _JSON_ROWS[key]
+        rows = [row % tuple(r) for r in table[:, columns].tolist()]
+        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        text = text.replace(json.dumps("\0" + key), body, 1)
+    Path(path).write_text(text + "\n", encoding="utf-8")

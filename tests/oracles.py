@@ -1,8 +1,12 @@
 """Independent reference computations used by several test modules."""
 
+from pathlib import Path
+
 import numpy as np
 
+from fisherhash.datasets import label_matrix, write_json
 from fisherhash.evaluation import MetricsReport, RankedResult, average_precision, relevance_matrix
+from fisherhash.exceptions import DataError
 from fisherhash.pairwise import loss_dissimilar, loss_similar
 
 
@@ -217,3 +221,87 @@ def reference_metrics_report(queries, database, query_label_sets, db_label_sets,
         n_queries=n_q,
         n_database=n_db,
     )
+
+
+# ---------------------------------------------------------------------
+# The metric writers and the label parser as they were before they were
+# tuned for speed: one formatted write per row, report.json through
+# json.dumps of the whole report, and one int() parse per label line.
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def reference_write_metrics_csv(report, out_dir):
+    """Write map.csv, prn.csv, pr.csv; returns the created paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    map_path = out / "map.csv"
+    with open(map_path, "w", encoding="utf-8") as fh:
+        fh.write("k,map\n")
+        for k, v in sorted(report.map_at.items()):
+            fh.write(f"{k},{_fmt(v)}\n")
+    paths["map"] = map_path
+    prn_path = out / "prn.csv"
+    with open(prn_path, "w", encoding="utf-8") as fh:
+        fh.write("N,precision,recall\n")
+        for n, p, r in report.top_n:
+            fh.write(f"{int(n)},{_fmt(p)},{_fmt(r)}\n")
+    paths["prn"] = prn_path
+    pr_path = out / "pr.csv"
+    with open(pr_path, "w", encoding="utf-8") as fh:
+        fh.write("radius,precision,recall\n")
+        for r, p, rc in report.pr_radius:
+            fh.write(f"{int(r)},{_fmt(p)},{_fmt(rc)}\n")
+    paths["pr"] = pr_path
+    return paths
+
+
+def reference_write_metrics_json(report, path):
+    write_json(path, {
+        "config_hash": report.config_hash,
+        "n_queries": report.n_queries,
+        "n_database": report.n_database,
+        "map": {str(k): v for k, v in report.map_at.items()},
+        "top_n": [
+            {"n": int(n), "precision": p, "recall": r} for n, p, r in report.top_n
+        ],
+        "pr_radius": [
+            {"radius": int(r), "precision": p, "recall": rc}
+            for r, p, rc in report.pr_radius
+        ],
+        **report.extra,
+    })
+
+
+def reference_load_labels(path, num_classes, n_items):
+    """Parse a label file; returns (label matrix, per-item label sets)."""
+    sets = [None] * n_items
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            head, _, rest = line.partition(":")
+            try:
+                idx = int(head)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad item index {head!r}") from exc
+            if not 0 <= idx < n_items:
+                raise DataError(f"{path}:{lineno}: item index {idx} out of range")
+            if sets[idx] is not None:
+                raise DataError(f"{path}:{lineno}: duplicate labels for item {idx}")
+            classes = rest.split()
+            if not classes:
+                raise DataError(f"{path}:{lineno}: empty label row for item {idx}")
+            try:
+                labels = frozenset(int(c) for c in classes)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad class id") from exc
+            sets[idx] = labels
+    missing = [i for i, s in enumerate(sets) if s is None]
+    if missing:
+        raise DataError(f"{path}: no labels for item {missing[0]}")
+    return label_matrix(sets, num_classes), sets

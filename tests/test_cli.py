@@ -59,6 +59,15 @@ def write_eval_fixture(tmp_path):
     write_labels(tmp_path / "q_labels.txt", FIXTURE_Q_LABELS)
 
 
+def make_unreadable(path, corrupt):
+    """Put a non-UTF-8 byte into a text file, or replace it by a directory."""
+    if corrupt == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff" + path.read_bytes())
+
+
 class TestTrainCommand:
     def test_two_class_run_writes_artifacts_and_map(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -174,6 +183,30 @@ class TestTrainCommand:
         cfg["dataset"] = {"manifest": "manifest.json"}
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == code
+
+    @pytest.mark.parametrize("target, corrupt", [
+        ("manifest.json", "non-utf8"),
+        ("manifest.json", "directory"),
+        ("y.txt", "non-utf8"),
+        ("y.txt", "directory"),
+    ], ids=["non-utf8-manifest", "manifest-is-directory", "non-utf8-labels",
+            "labels-is-directory"])
+    def test_unreadable_manifest_or_labels_exit_3(self, tmp_path, capsys, target, corrupt):
+        write_features(tmp_path / "x.fhft", np.zeros((4, 8)))
+        write_labels(tmp_path / "y.txt", [{i % 2} for i in range(8)])
+        save_manifest(DatasetManifest(
+            name="toy", feature_path="x.fhft", label_path="y.txt", input_dim=4, n_items=8,
+            num_classes=2, splits={"train": list(range(6)), "query": [6, 7]},
+        ), tmp_path / "manifest.json")
+        make_unreadable(tmp_path / target, corrupt)
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_train_config(cfg_path, epochs=1)
+        cfg["dataset"] = {"manifest": "manifest.json"}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (data)") and target in err
+        assert not (tmp_path / "o").exists()
 
     def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -304,6 +337,28 @@ class TestEncodeIndexQuery:
         assert code == 3
         assert "index.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, corrupt", [
+        ("index.json", "non-utf8"),
+        ("index.json", "directory"),
+        ("labels.txt", "non-utf8"),
+        ("labels.txt", "directory"),
+    ], ids=["non-utf8-index-json", "index-json-is-directory", "non-utf8-labels",
+            "labels-is-directory"])
+    def test_unreadable_index_file_exits_3(self, tmp_path, capsys, target, corrupt):
+        write_eval_fixture(tmp_path)
+        idx_dir = tmp_path / "index"
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "3", "--out", str(idx_dir)) == 0
+        make_unreadable(idx_dir / target, corrupt)
+        capsys.readouterr()
+        code = run_cli("query", "--index", str(idx_dir),
+                       "--queries", str(tmp_path / "q.fhsh"),
+                       "--k", "2", "--out", str(tmp_path / "q"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (data)") and target in err
+
 
 class TestThreadsFlag:
     def test_query_and_eval_outputs_do_not_depend_on_threads(self, tmp_path, capsys):
@@ -386,6 +441,16 @@ class TestEvalCommand:
                        "--out", str(tmp_path / "m"))
         assert code == 2
         assert "k must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", ["non-utf8", "directory"])
+    @pytest.mark.parametrize("target", ["db_labels.txt", "q_labels.txt"])
+    def test_unreadable_label_file_exits_3(self, tmp_path, capsys, target, corrupt):
+        write_eval_fixture(tmp_path)
+        make_unreadable(tmp_path / target, corrupt)
+        assert eval_into(tmp_path, tmp_path / "m") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (data)") and target in err
+        assert not (tmp_path / "m").exists()
 
 
 class TestAblateCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisherhash.datasets import (
     Dataset,
@@ -15,6 +17,8 @@ from fisherhash.datasets import (
     write_labels,
 )
 from fisherhash.exceptions import DataError
+
+from oracles import reference_load_labels
 
 
 class TestFeatureFile:
@@ -59,14 +63,15 @@ class TestLabelFile:
     def test_single_label_one_hot(self, tmp_path):
         path = tmp_path / "labels.txt"
         write_labels(path, [frozenset({2}), frozenset({0})])
-        y, sets = load_labels(path, num_classes=3, n_items=2)
+        sets = load_labels(path, num_classes=3, n_items=2)
+        y = label_matrix(sets, 3)
         np.testing.assert_array_equal(y, [[0, 1], [0, 0], [1, 0]])
         assert sets == [frozenset({2}), frozenset({0})]
 
     def test_multi_label_half_weights(self, tmp_path):
         path = tmp_path / "labels.txt"
         write_labels(path, [frozenset({2, 5})])
-        y, _ = load_labels(path, num_classes=8, n_items=1)
+        y = label_matrix(load_labels(path, num_classes=8, n_items=1), 8)
         assert y[2, 0] == 0.5 and y[5, 0] == 0.5
         assert y[:, 0].sum() == 1.0
 
@@ -76,7 +81,7 @@ class TestLabelFile:
                 for _ in range(50)]
         path = tmp_path / "labels.txt"
         write_labels(path, sets)
-        y, _ = load_labels(path, num_classes=10, n_items=50)
+        y = label_matrix(load_labels(path, num_classes=10, n_items=50), 10)
         np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-9)
 
     def test_empty_label_row_rejected(self, tmp_path):
@@ -96,6 +101,66 @@ class TestLabelFile:
         path.write_text("0: 1\n", encoding="utf-8")
         with pytest.raises(DataError, match="no labels for item 1"):
             load_labels(path, num_classes=3, n_items=2)
+
+    def test_equal_texts_share_one_set(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0: 1 2\n1: 2 1\n2: 1 2\n", encoding="utf-8")
+        sets = load_labels(path, num_classes=3, n_items=3)
+        assert sets == [frozenset({1, 2})] * 3
+        assert sets[0] is sets[2]
+
+    def test_first_item_with_out_of_range_class_is_named(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("2: 0 5\n0: 1\n1: 4 0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="item 1: class id 4 out of range for M=3"):
+            load_labels(path, num_classes=3, n_items=3)
+
+
+# Label texts that repeat across lines, with equal sets written in other
+# orders, spacings and integer spellings; the last three are bad.
+LABEL_TEXTS = ["0", "1", "2", "0 1", "1 0", " 2  1 ", "+1", "01", "1 1", "7", "-1", "x"]
+
+
+@st.composite
+def label_file_bytes(draw):
+    """A label file built from repeated texts, with blank and
+    whitespace-only lines and LF, CRLF or CR line ends, then maybe
+    damaged: lines repeated or dropped, bytes flipped, the end cut off."""
+    n_items = draw(st.integers(1, 12))
+    texts = st.sampled_from(LABEL_TEXTS[:-3] * 6 + LABEL_TEXTS[-3:])
+    lines = draw(st.permutations([f"{i}:{draw(texts)}" for i in range(n_items)]))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t", " \x0b "])))
+    damage = draw(st.sets(st.sampled_from(["repeat", "drop", "flip", "cut"]), max_size=2))
+    if "repeat" in damage:
+        lines.append(draw(st.sampled_from(lines)))
+    if "drop" in damage:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = bytearray("".join(line + ending for line in lines).encode("utf-8"))
+    if "flip" in damage and data:
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    if "cut" in damage:
+        data = data[:draw(st.integers(0, len(data)))]
+    return bytes(data), n_items, draw(st.sampled_from([1, 3, 8, 8]))
+
+
+class TestLabelParserAgainstOracle:
+    @given(label_file_bytes())
+    @settings(max_examples=500, deadline=None)
+    def test_same_sets_or_a_data_error(self, tmp_path_factory, case):
+        data, n_items, num_classes = case
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        path.write_bytes(data)
+        try:
+            _, want = reference_load_labels(path, num_classes, n_items)
+        except (DataError, UnicodeDecodeError) as exc:
+            with pytest.raises(DataError) as got:
+                load_labels(path, num_classes, n_items)
+            if isinstance(exc, DataError):
+                assert str(got.value) == str(exc)
+            return
+        assert load_labels(path, num_classes, n_items) == want
 
 
 class TestLabelMatrixAndSimilarity:

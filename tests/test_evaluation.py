@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fisherhash import evaluation
 from fisherhash.binary_codes import BinaryCodeMatrix, hamming_cross
 from fisherhash.evaluation import (
+    MetricsReport,
     average_precision,
     metrics_report,
     relevance_matrix,
@@ -16,7 +17,12 @@ from fisherhash.evaluation import (
     write_metrics_json,
 )
 
-from oracles import reference_metrics_report, reference_search
+from oracles import (
+    reference_metrics_report,
+    reference_search,
+    reference_write_metrics_csv,
+    reference_write_metrics_json,
+)
 
 # ---------------------------------------------------------------------
 # Hand-computed fixture: K=4, five database items, three queries.
@@ -273,6 +279,66 @@ class TestMetricsOutput:
         assert '"config_hash": "abc123"' in text
 
 
+# Floats whose text forms differ between repr, json and %.17g, or that
+# sit at the ends of the double range.
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7,
+               1.0, 1 / 3, 0.1, 2.5e-5, 123456789.125]
+
+
+@st.composite
+def metric_reports(draw):
+    """Reports with edge-case floats, empty or one-row tables and extra
+    keys sorting before, between and after the row tables."""
+    values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+    finite = draw(st.booleans())
+    cell = st.floats(allow_nan=False, allow_infinity=False) if finite else values
+
+    def table(n_rows, first):
+        rows = [[float(first + i), draw(cell), draw(cell)] for i in range(n_rows)]
+        return np.array(rows, dtype=np.float64).reshape(n_rows, 3)
+
+    ks = draw(st.lists(st.integers(1, 10**6), max_size=4, unique=True))
+    extra = draw(st.dictionaries(
+        st.sampled_from(["a", "map_note", "n_x", "pr", "q", "s", "top", "top_nn", "z"]),
+        st.one_of(st.integers(), st.text(max_size=5), values, st.lists(st.integers(), max_size=2)),
+        max_size=4,
+    ))
+    return MetricsReport(
+        map_at={k: draw(values) for k in ks},
+        top_n=table(draw(st.sampled_from([0, 1, 1, 2, 7])), 1),
+        pr_radius=table(draw(st.sampled_from([0, 1, 2, 65])), 0),
+        n_queries=draw(st.integers(0, 10**6)),
+        n_database=draw(st.integers(0, 10**6)),
+        config_hash=draw(st.one_of(st.none(), st.text(alphabet="0123456789abcdef", max_size=12))),
+        extra=extra,
+    )
+
+
+class TestWritersAgainstOracle:
+    @given(metric_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_per_row_writers(self, tmp_path_factory, report):
+        out = tmp_path_factory.mktemp("writers")
+        want = reference_write_metrics_csv(report, out / "want")
+        got = write_metrics_csv(report, out / "got")
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name] == out / "got" / f"{name}.csv"
+            assert got[name].read_bytes() == want[name].read_bytes(), name
+        reference_write_metrics_json(report, out / "want.json")
+        write_metrics_json(report, out / "got.json")
+        assert (out / "got.json").read_bytes() == (out / "want.json").read_bytes()
+
+    def test_metrics_report_outputs(self, tmp_path, fixture_tables):
+        q, db = fixture_tables
+        for max_n in (1, None):
+            report = metrics_report(q, db, Q_LABELS, DB_LABELS, ks=[1, 2, 5], num_classes=3,
+                                    max_n=max_n, config_hash="abc123")
+            reference_write_metrics_json(report, tmp_path / "want.json")
+            write_metrics_json(report, tmp_path / "got.json")
+            assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 @st.composite
 def retrieval_instances(draw):
     """Codes clustered around a few prototypes (so distances tie), label
@@ -405,6 +471,49 @@ class TestStreamingEngineAgainstOracle:
             got = metrics_report(**inst)
         patterns = {(tuple(q.words[i]), frozenset(q_labels[i])) for i in range(q.n)}
         assert sum(ranked_rows) == len(patterns) and len(ranked_rows) > 2
+        want = reference_metrics_report(**inst)
+        assert got.map_at == want.map_at
+        assert got.top_n.tobytes() == want.top_n.tobytes()
+        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
+
+    @pytest.mark.parametrize("max_n", [1, None], ids=["max_n-1", "full-prn"])
+    def test_database_ranked_through_distinct_codes(self, max_n):
+        # 400 database items on 6 codes.  Codes A and B both lie 2 bits
+        # from query code 0, items of A (labels {0}) and of B (labels {1})
+        # are interleaved by index, so relevant and irrelevant items tie
+        # at one distance.  Code C carries three label sets.
+        rng = np.random.default_rng(5)
+        base = rng.choice([-1, 1], size=16)
+
+        def flipped(*bits):
+            code = base.copy()
+            code[list(bits)] *= -1
+            return code
+
+        codes = np.column_stack([flipped(0, 1), flipped(2, 3), flipped(4), flipped(),
+                                 flipped(5, 6, 7, 8), -base])
+        code_of = rng.integers(0, codes.shape[1], size=400)
+        label_pool = {0: [{0}], 1: [{1}], 2: [{0}, {1, 2}, {3}], 3: [{2}], 4: [{1}], 5: [{3}]}
+        db_labels = [frozenset(label_pool[c][rng.integers(len(label_pool[c]))]) for c in code_of]
+        db = BinaryCodeMatrix.from_signs(codes[:, code_of])
+        q_codes = np.column_stack([flipped(), flipped(0), -base, flipped(2, 3), flipped()])
+        q = BinaryCodeMatrix.from_signs(q_codes)
+        q_labels = [{0}, {1, 3}, {2}, {0}, {3}]
+        a_items, b_items = np.flatnonzero(code_of == 0), np.flatnonzero(code_of == 1)
+        assert a_items.min() < b_items.max() and b_items.min() < a_items.max()
+        inst = dict(queries=q, database=db, query_label_sets=q_labels,
+                    db_label_sets=db_labels, ks=[1, 30, 400], num_classes=4, max_n=max_n)
+        measured = []
+
+        def counting_hamming_cross(a, b):
+            measured.append(b)
+            return hamming_cross(a, b)
+
+        with mock.patch.object(evaluation, "_BLOCK_ENTRIES", 2 * db.n), \
+                mock.patch.object(evaluation, "hamming_cross", counting_hamming_cross):
+            got = metrics_report(**inst)
+        distinct = np.unique(db.words, axis=0)
+        assert len(measured) > 1 and all(np.array_equal(b.words, distinct) for b in measured)
         want = reference_metrics_report(**inst)
         assert got.map_at == want.map_at
         assert got.top_n.tobytes() == want.top_n.tobytes()
