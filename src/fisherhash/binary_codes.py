@@ -7,8 +7,11 @@ popcount.  All other modules build on the operations here.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from .datasets import open_binary
 from .exceptions import DataError
 
 WORD_BITS = 64
@@ -36,16 +39,32 @@ def _pack_bool(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
+class CodeGroups(NamedTuple):
+    """A code table's items grouped by code.
+
+    `codes` holds the distinct codes in np.unique(axis=0) order; item i
+    has code `code_of[i]`; code c has `counts[c]` items, listed in
+    ascending index order at items[starts[c] : starts[c] + counts[c]].
+    """
+
+    codes: "BinaryCodeMatrix"
+    code_of: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    items: np.ndarray
+
+
 class BinaryCodeMatrix:
     """K x N matrix with entries in {-1,+1}, stored bit-packed.
 
     Column i is the K-bit code of item i, held as a contiguous run of
     uint64 words (bit j of word w is logical entry 64*w + j, bit value
     1 meaning +1).  Instances are immutable after construction and safe
-    for concurrent reads.
+    for concurrent reads, so the grouping of items by code is computed
+    once, on first use, and kept.
     """
 
-    __slots__ = ("K", "words")
+    __slots__ = ("K", "words", "_groups")
 
     def __init__(self, K: int, words: np.ndarray):
         if K < 1:
@@ -69,6 +88,7 @@ class BinaryCodeMatrix:
         self.K = K
         self.words = words
         self.words.setflags(write=False)
+        self._groups = None
 
     @property
     def n(self) -> int:
@@ -112,6 +132,28 @@ class BinaryCodeMatrix:
         out = bits.T.astype(dtype)
         return out * 2 - 1
 
+    def groups(self) -> CodeGroups:
+        """The items grouped by code; computed on the first call, then cached.
+
+        One stable lexsort over the word columns, first word most
+        significant, orders the items by code as np.unique does and keeps
+        ascending index order within each code.  `take` and `column`
+        return new tables, so the cache never goes stale.
+        """
+        if self._groups is None:
+            items = np.lexsort(self.words.T[::-1])
+            grouped = self.words[items]
+            first = np.ones(self.n, dtype=bool)
+            np.any(grouped[1:] != grouped[:-1], axis=1, out=first[1:])
+            starts = np.flatnonzero(first)
+            code_of = np.empty(self.n, dtype=np.intp)
+            code_of[items] = np.cumsum(first) - 1
+            self._groups = CodeGroups(
+                BinaryCodeMatrix(self.K, grouped[starts]), code_of,
+                np.diff(starts, append=self.n), starts, items,
+            )
+        return self._groups
+
     def column(self, i: int) -> "BinaryCodeMatrix":
         """Single column i as a K x 1 code matrix (shares storage)."""
         return BinaryCodeMatrix(self.K, self.words[i : i + 1])
@@ -138,7 +180,7 @@ class BinaryCodeMatrix:
 
     @classmethod
     def load(cls, path) -> "BinaryCodeMatrix":
-        with open(path, "rb") as fh:
+        with open_binary(path) as fh:
             magic = fh.read(4)
             if magic != CODE_MAGIC:
                 raise DataError(f"{path}: bad magic {magic!r}, expected {CODE_MAGIC!r}")

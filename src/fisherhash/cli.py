@@ -66,7 +66,9 @@ def _load_config_file(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload = json.loads(read_text(p))
+    except DataError as exc:  # a directory, or not UTF-8
+        raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -291,12 +293,15 @@ def cmd_query(args) -> int:
     results = search(queries, db_codes, k=args.k)
     payload = {"command": "query", "index": str(args.index),
                "queries": str(args.queries), "k": args.k}
-    with (_output(args, payload) as (stage, _),
-          open(stage / "results.csv", "w", encoding="utf-8") as fh):
-        fh.write("query,rank,item,distance\n")
-        for res in results:
-            for rank, (item, dist) in enumerate(zip(res.indices, res.distances), 1):
-                fh.write(f"{res.query},{rank},{item},{dist}\n")
+    with _output(args, payload) as (stage, _):
+        lines = [
+            f"{res.query},{rank},{item},{dist}\n"
+            for res in results
+            for rank, item, dist in zip(range(1, args.k + 1), res.indices.tolist(),
+                                        res.distances.tolist())
+        ]
+        (stage / "results.csv").write_text(
+            "query,rank,item,distance\n" + "".join(lines), encoding="utf-8")
     print(f"wrote top-{args.k} results for {queries.n} queries to "
           f"{Path(args.out) / 'results.csv'}")
     return EXIT_OK

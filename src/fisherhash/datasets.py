@@ -114,7 +114,7 @@ def write_features(path, features: np.ndarray) -> None:
 
 def load_features(path, expected_dim: int | None = None, expected_n: int | None = None) -> np.ndarray:
     """Read a feature table back as float64, dim x N."""
-    with open(path, "rb") as fh:
+    with open_binary(path) as fh:
         if fh.read(4) != FEATURE_MAGIC:
             raise DataError(f"{path}: not a feature file")
         head = np.frombuffer(fh.read(12), dtype="<u4")
@@ -144,6 +144,17 @@ def write_labels(path, label_sets) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i, labels in enumerate(label_sets):
             fh.write(f"{i}: " + " ".join(str(c) for c in sorted(labels)) + "\n")
+
+
+def open_binary(path):
+    """Open a file for reading bytes; a directory is a DataError.
+
+    A missing file still raises FileNotFoundError, as in `read_text`.
+    """
+    try:
+        return open(path, "rb")
+    except IsADirectoryError as exc:
+        raise DataError(f"{path}: is a directory, not a file") from exc
 
 
 def read_text(path) -> str:

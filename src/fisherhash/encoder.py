@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import open_binary
 from .exceptions import DataError, NumericalError
 
 CHECKPOINT_MAGIC = b"FHNN"
@@ -207,7 +208,7 @@ def save_checkpoint(state: EncoderState, path) -> None:
 def load_checkpoint(path) -> EncoderState:
     """Read an FHNN checkpoint; every size the header claims is checked
     against the bytes present before anything is allocated for it."""
-    with open(path, "rb") as fh:
+    with open_binary(path) as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not an encoder checkpoint")
         head = np.frombuffer(fh.read(12), dtype="<u4")

@@ -1,11 +1,15 @@
 """Exact Hamming-ranking retrieval and the usual IR metrics.
 
-Search is a linear scan over packed codes (XOR + popcount), one block
-of queries at a time on one thread; ranking ties at equal distance
-break by ascending database index so results are deterministic and
-oracle-comparable.  Metrics: MAP@k, precision and recall at N, and a
-precision/recall sweep over Hamming radius, accumulated one query at a
-time from that query's ranked relevance and its running hit count.
+Queries are measured (XOR + popcount) against the distinct database
+codes only, one block of queries at a time on one thread; every item of
+a code shares its distance.  Ranking ties at equal distance break by
+ascending database index, so results are deterministic and
+oracle-comparable.  `search` picks each query's top k from the code
+distances and the code counts; `metrics_report` takes the code
+distances out to the items for its full rankings.  Metrics: MAP@k,
+precision and recall at N, and a precision/recall sweep over Hamming
+radius, accumulated one query at a time from that query's ranked
+relevance and its running hit count.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binary_codes import BinaryCodeMatrix, hamming_cross
+from .binary_codes import BinaryCodeMatrix, CodeGroups, hamming_cross
 from .datasets import distinct_label_sets, write_json
 
 # Upper bound on the scratch distance block, in entries.
@@ -32,37 +36,61 @@ class RankedResult:
     distances: np.ndarray
 
 
-def _ranked_blocks(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int, inverse=None):
-    """Stable Hamming ranking of the database, one block of queries at a time.
+def _ranked_blocks(queries: BinaryCodeMatrix, database: BinaryCodeMatrix):
+    """Distances to the distinct database codes, one block of queries at a time.
 
-    Yields (start, dist, order) per block: the unsorted distances of
-    queries start, start + 1, ... to the database codes, and the first k
-    columns of the stable argsort of their distances to the database
-    items.  Distances are small unsigned ints, so the sort is a radix
-    sort, and ties keep ascending item order.  With `inverse`, `database`
-    holds distinct codes and item j has code inverse[j]: each block is
-    measured against the codes and taken out to the items.
+    Yields (start, dist): the distances of queries start, start + 1, ...
+    to database.groups().codes, as small unsigned ints, from which both
+    rankings are made.  Blocks are sized as if every item were measured,
+    so the block size does not depend on how often codes repeat.
     """
+    codes = database.groups().codes
     n_q = queries.n
-    n_db = database.n if inverse is None else inverse.size
-    block = max(1, _BLOCK_ENTRIES // n_db)
+    block = max(1, _BLOCK_ENTRIES // database.n)
     for start in range(0, n_q, block):
-        dist = hamming_cross(queries.take(range(start, min(start + block, n_q))), database)
-        item_dist = dist if inverse is None else dist.take(inverse, axis=1)
-        yield start, dist, np.argsort(item_dist, axis=1, kind="stable")[:, :k]
+        yield start, hamming_cross(queries.take(range(start, min(start + block, n_q))), codes)
+
+
+def _top_k(code_dist: np.ndarray, groups: CodeGroups, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One query's k nearest items, ties by ascending index, and their distances.
+
+    The code distances weighted by the code counts give t, the distance
+    of the k-th nearest item, and `need`, the number of items at t among
+    the k.  The candidates are every item of each code nearer than t and
+    the first `need` items of each code at t: a superset of the k that
+    holds each item once.  Sorted by index, then stably by distance, its
+    first k are the k of a stable argsort over all items.
+    """
+    cum = np.bincount(code_dist, groups.counts).cumsum()
+    t = int(np.searchsorted(cum, k))
+    need = k - int(cum[t - 1]) if t else k
+    picked = np.flatnonzero(code_dist <= t)
+    lens = groups.counts[picked]
+    np.minimum(lens, need, out=lens, where=code_dist[picked] == t)
+    ends = lens.cumsum()
+    cand = groups.items[np.arange(ends[-1]) + np.repeat(groups.starts[picked] - ends + lens, lens)]
+    cand.sort()
+    item_dist = code_dist[groups.code_of[cand]]
+    order = np.argsort(item_dist, kind="stable")[:k]
+    return cand[order], item_dist[order].astype(np.int64)
 
 
 def search(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int) -> list[RankedResult]:
-    """Exact top-k by Hamming distance, ties by ascending item index."""
+    """Exact top-k by Hamming distance, ties by ascending item index.
+
+    Each query is measured against the distinct database codes only, and
+    its k items are picked from those distances (`_top_k`), so no
+    per-item distance row is built or sorted.  The grouping of the
+    database by code is made once per code table, on its first search.
+    """
     if not 1 <= k <= database.n:
         raise ValueError(f"k must be in [1, {database.n}], got {k}")
-    results = []
-    for start, dist, order in _ranked_blocks(queries, database, k):
-        for i, row in enumerate(order):
-            # Copies, so a result does not keep the block's full argsort alive.
-            indices = row.copy()
-            results.append(RankedResult(start + i, indices, dist[i, indices].astype(np.int64)))
-    return results
+    groups = database.groups()
+    return [
+        RankedResult(start + i, *_top_k(row, groups, k))
+        for start, dist in _ranked_blocks(queries, database)
+        for i, row in enumerate(dist)
+    ]
 
 
 def average_precision(flags, r_total: int) -> float:
@@ -161,10 +189,7 @@ def metrics_report(
     n_max = n_db if max_n is None else min(int(max_n), n_db)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
 
-    codes, inverse, code_counts = np.unique(
-        database.words, axis=0, return_inverse=True, return_counts=True
-    )
-    codes = BinaryCodeMatrix(database.K, codes)
+    groups = database.groups()
     # A query's scored row depends only on its code words and its
     # distinct label set, its pattern.
     keys = np.column_stack([queries.words, q_pid.astype(np.uint64)])
@@ -172,12 +197,14 @@ def metrics_report(
         keys, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
     pattern = pattern.ravel()
+    # Each block's code distances, taken out to the items, are the item
+    # distances; their stable argsort is the ranking over all items.
     rows = (
         (dist_row, order_row)
-        for _, dist, order in _ranked_blocks(
-            queries.take(np.sort(first)), codes, n_db, inverse.ravel()
+        for _, dist in _ranked_blocks(queries.take(np.sort(first)), database)
+        for dist_row, order_row in zip(
+            dist, np.argsort(dist.take(groups.code_of, axis=1), axis=1, kind="stable")
         )
-        for dist_row, order_row in zip(dist, order)
     )
     cached = {}
 
@@ -204,7 +231,7 @@ def metrics_report(
             # The ranking is sorted by distance, so the items within
             # radius r are the first ends[r] ranked: the items of every
             # code within r.
-            ends = np.bincount(dist_row, code_counts, minlength=k_bits + 1)
+            ends = np.bincount(dist_row, groups.counts, minlength=k_bits + 1)
             ends = ends.cumsum().astype(np.intp)
             row = hits, ap_row, ends, cum[ends]
             if left[p] > 1:

@@ -224,9 +224,10 @@ def reference_metrics_report(queries, database, query_label_sets, db_label_sets,
 
 
 # ---------------------------------------------------------------------
-# The metric writers and the label parser as they were before they were
-# tuned for speed: one formatted write per row, report.json through
-# json.dumps of the whole report, and one int() parse per label line.
+# The metric and results writers and the label parser as they were
+# before they were tuned for speed: one formatted write per row,
+# report.json through json.dumps of the whole report, and one int()
+# parse per label line.
 
 
 def _fmt(x):
@@ -274,6 +275,15 @@ def reference_write_metrics_json(report, path):
         ],
         **report.extra,
     })
+
+
+def reference_write_results_csv(results, path):
+    """`fisherhash query`'s results.csv, one write per ranked item."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("query,rank,item,distance\n")
+        for res in results:
+            for rank, (item, dist) in enumerate(zip(res.indices, res.distances), 1):
+                fh.write(f"{res.query},{rank},{item},{dist}\n")
 
 
 def reference_load_labels(path, num_classes, n_items):

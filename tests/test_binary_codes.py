@@ -221,6 +221,34 @@ class TestPaddingAndFileFormat:
         assert hamming_distance(loaded, canonical) == 0
 
 
+class TestGroups:
+    @pytest.mark.parametrize("k", [5, 64, 130])
+    def test_matches_np_unique(self, k):
+        rng = np.random.default_rng(k)
+        protos = rng.choice([-1, 1], size=(k, 9))
+        signs = protos[:, rng.integers(0, 9, size=200)]
+        signs[:, ::17] = rng.choice([-1, 1], size=signs[:, ::17].shape)
+        m = BinaryCodeMatrix.from_signs(signs)
+        codes, inverse, counts = np.unique(
+            m.words, axis=0, return_inverse=True, return_counts=True)
+        g = m.groups()
+        assert np.array_equal(g.codes.words, codes) and g.codes.K == k
+        assert np.array_equal(g.code_of, inverse.ravel())
+        assert np.array_equal(g.counts, counts)
+        assert np.array_equal(g.starts, np.cumsum(counts) - counts)
+        for c in range(codes.shape[0]):
+            members = g.items[g.starts[c]:g.starts[c] + g.counts[c]]
+            assert np.array_equal(members, np.flatnonzero(inverse.ravel() == c))
+
+    def test_cached_per_table(self):
+        m = BinaryCodeMatrix.from_signs(np.array([[1, -1, 1], [1, 1, 1]]))
+        assert m.groups() is m.groups()
+        sub = m.take([2, 1])
+        assert sub.groups() is not m.groups()
+        assert sub.groups().code_of.tolist() == [1, 0]
+        assert m.column(1).groups().counts.tolist() == [1]
+
+
 class TestHammingCross:
     def test_matches_dense_oracle(self):
         # One word, a partial second word, and both sides of the

@@ -9,6 +9,9 @@ import pytest
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.cli import main
 from fisherhash.datasets import DatasetManifest, save_manifest, write_features, write_labels
+from fisherhash.encoder import EncoderSpec, init_state, save_checkpoint
+
+from oracles import reference_search, reference_write_results_csv
 
 
 def run_cli(*argv):
@@ -208,6 +211,16 @@ class TestTrainCommand:
         assert err.startswith("error (data)") and target in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("corrupt", ["non-utf8", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, corrupt):
+        cfg_path = tmp_path / "cfg.json"
+        write_train_config(cfg_path, epochs=1)
+        make_unreadable(cfg_path, corrupt)
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (config)") and "cfg.json" in err
+        assert not (tmp_path / "o").exists()
+
     def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_train_config(cfg_path, epochs=1)
@@ -314,6 +327,61 @@ class TestEncodeIndexQuery:
                        "--queries", str(tmp_path / "q.fhsh"),
                        "--k", "9", "--out", str(tmp_path / "q"))
         assert code == 2
+
+    def test_results_csv_matches_per_line_writer(self, tmp_path):
+        # 6-bit codes from 5 prototypes over 300 items: every query has
+        # wide distance ties, so the ranks within a tie must follow item order.
+        rng = np.random.default_rng(31)
+        protos = rng.choice([-1, 1], size=(6, 5))
+        db = BinaryCodeMatrix.from_signs(protos[:, rng.integers(0, 5, size=300)])
+        queries = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(6, 7)))
+        db.save(tmp_path / "db.fhsh")
+        queries.save(tmp_path / "q.fhsh")
+        write_labels(tmp_path / "db_labels.txt", [{0}] * db.n)
+        idx_dir = tmp_path / "index"
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "1", "--out", str(idx_dir)) == 0
+        assert run_cli("query", "--index", str(idx_dir), "--queries", str(tmp_path / "q.fhsh"),
+                       "--k", "80", "--out", str(tmp_path / "q")) == 0
+        reference_write_results_csv(reference_search(queries, db, 80), tmp_path / "want.csv")
+        got = (tmp_path / "q" / "results.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert len(got.splitlines()) == 1 + 7 * 80
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--db-codes"),
+        ("query", "--queries"),
+        ("index", "--codes"),
+        ("encode", "--checkpoint"),
+        ("encode", "--features"),
+    ])
+    def test_binary_input_that_is_a_directory_exits_3(self, tmp_path, capsys, command, flag):
+        write_eval_fixture(tmp_path)
+        save_checkpoint(init_state(EncoderSpec(input_dim=4, output_dim=2)), tmp_path / "enc.fhnn")
+        write_features(tmp_path / "x.fhft", np.zeros((4, 3)))
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "3", "--out", str(tmp_path / "index")) == 0
+        at = {name: str(tmp_path / name)
+              for name in ("db.fhsh", "db_labels.txt", "q.fhsh", "q_labels.txt", "index",
+                           "enc.fhnn", "x.fhft")}
+        argv = {
+            "eval": ["--db-codes", at["db.fhsh"], "--db-labels", at["db_labels.txt"],
+                     "--query-codes", at["q.fhsh"], "--query-labels", at["q_labels.txt"],
+                     "--classes", "3"],
+            "query": ["--index", at["index"], "--queries", at["q.fhsh"], "--k", "2"],
+            "index": ["--codes", at["db.fhsh"], "--labels", at["db_labels.txt"], "--classes", "3"],
+            "encode": ["--checkpoint", at["enc.fhnn"], "--features", at["x.fhft"]],
+        }[command]
+        target = tmp_path / argv[argv.index(flag) + 1]
+        target.unlink()
+        target.mkdir()
+        capsys.readouterr()
+        assert run_cli(command, *argv, "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (data)") and target.name in err and "directory" in err
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize("text", [

@@ -149,6 +149,97 @@ class TestSearch:
             assert res.distances.dtype == np.int64
 
 
+def assert_same_results(found, expected):
+    """Equal queries, items and distances, dtypes included."""
+    assert len(found) == len(expected)
+    for a, b in zip(found, expected):
+        assert a.query == b.query
+        assert a.indices.dtype == b.indices.dtype and a.distances.dtype == b.distances.dtype
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.distances.tobytes() == b.distances.tobytes()
+
+
+class TestCodeLevelTopK:
+    """`search` picks each row from the distances to the distinct codes."""
+
+    @staticmethod
+    def tied_database():
+        # 8-bit codes: N is 1 bit from `base`, A, B and C are 2 bits
+        # from it and F is 5.  A, B and C are neighbours in np.unique
+        # order, and their items interleave by index, so the k-th item
+        # of a query at `base` is often shared by three codes.
+        base = np.ones(8, dtype=int)
+
+        def flipped(*bits):
+            code = base.copy()
+            code[list(bits)] *= -1
+            return code
+
+        codes = np.column_stack([flipped(7), flipped(0, 1), flipped(0, 2), flipped(1, 2),
+                                 flipped(3, 4, 5, 6, 7)])
+        code_of = np.random.default_rng(3).permutation(np.repeat(np.arange(5), [3, 30, 30, 30, 20]))
+        db = BinaryCodeMatrix.from_signs(codes[:, code_of])
+        queries = BinaryCodeMatrix.from_signs(np.column_stack([base, flipped(0), -base]))
+        return db, queries, code_of
+
+    def test_kth_distance_shared_by_interleaved_codes(self):
+        db, queries, code_of = self.tied_database()
+        groups = db.groups()
+        tied = [groups.code_of[np.flatnonzero(code_of == c)[0]] for c in (1, 2, 3)]
+        assert sorted(tied) == list(range(min(tied), min(tied) + 3))
+        for a, b in [(1, 2), (2, 3), (1, 3)]:
+            a_items, b_items = np.flatnonzero(code_of == a), np.flatnonzero(code_of == b)
+            assert a_items.min() < b_items.max() and b_items.min() < a_items.max()
+        for k in range(1, db.n + 1):
+            assert_same_results(search(queries, db, k=k), reference_search(queries, db, k=k))
+
+    @pytest.mark.parametrize("layout", ["all-distinct", "one-code", "few-codes"])
+    @pytest.mark.parametrize("k", ["1", "n_db"])
+    def test_k_at_the_ends(self, layout, k):
+        rng = np.random.default_rng(7)
+        n_db, bits = 150, 20
+        signs = rng.choice([-1, 1], size=(bits, n_db))
+        if layout == "one-code":
+            signs[:] = signs[:, :1]
+        elif layout == "few-codes":
+            signs = signs[:, rng.integers(0, 4, size=n_db)]
+        db = BinaryCodeMatrix.from_signs(signs)
+        assert db.groups().codes.n == {"all-distinct": n_db, "one-code": 1, "few-codes": 4}[layout]
+        queries = BinaryCodeMatrix.from_signs(
+            np.column_stack([signs[:, :3], rng.choice([-1, 1], size=(bits, 3))]))
+        k = 1 if k == "1" else n_db
+        assert_same_results(search(queries, db, k=k), reference_search(queries, db, k=k))
+
+    def test_measures_exactly_the_distinct_codes(self):
+        db, queries, _ = self.tied_database()
+        queries = queries.take(np.arange(10) % 3)
+        measured = []
+
+        def counting_hamming_cross(a, b):
+            measured.append((a.n, b))
+            return hamming_cross(a, b)
+
+        with mock.patch.object(evaluation, "_BLOCK_ENTRIES", 3 * db.n), \
+                mock.patch.object(evaluation, "hamming_cross", counting_hamming_cross):
+            found = search(queries, db, k=40)
+        distinct = np.unique(db.words, axis=0)
+        assert [n for n, _ in measured] == [3, 3, 3, 1]
+        assert all(np.array_equal(b.words, distinct) for _, b in measured)
+        assert_same_results(found, reference_search(queries, db, k=40))
+
+    def test_grouping_is_built_once_per_code_table(self, fixture_tables):
+        q, db = fixture_tables
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            first = search(q, db, k=3)
+            second = search(q.column(1), db, k=2)
+            metrics_report(q, db, Q_LABELS, DB_LABELS, ks=[2])
+            assert lexsort.call_count == 1
+            search(q, db.take(range(db.n)), k=3)
+            assert lexsort.call_count == 2
+        assert_same_results(first, reference_search(q, db, k=3))
+        assert_same_results(second, reference_search(q.column(1), db, k=2))
+
+
 class TestAveragePrecision:
     def test_hand_example(self):
         assert average_precision([1, 0, 1], 2) == pytest.approx((1 + 2 / 3) / 2, abs=1e-12)
