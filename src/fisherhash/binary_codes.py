@@ -180,16 +180,23 @@ class BinaryCodeMatrix:
 
     @classmethod
     def load(cls, path) -> "BinaryCodeMatrix":
+        """Read a table written by `save`; a malformed file is a DataError.
+
+        The header's sizes are checked against the payload read from the
+        file before anything is allocated from them.
+        """
         with open_binary(path) as fh:
             magic = fh.read(4)
             if magic != CODE_MAGIC:
                 raise DataError(f"{path}: bad magic {magic!r}, expected {CODE_MAGIC!r}")
-            header = np.frombuffer(fh.read(12), dtype=_HEADER_DTYPE)
-            if header.size != 3:
+            header = fh.read(12)
+            if len(header) != 12:
                 raise DataError(f"{path}: truncated header")
-            version, k, n = (int(v) for v in header)
+            version, k, n = (int(v) for v in np.frombuffer(header, dtype=_HEADER_DTYPE))
             if version != CODE_VERSION:
                 raise DataError(f"{path}: unsupported version {version}")
+            if k < 1 or n < 1:
+                raise DataError(f"{path}: header claims K={k}, N={n}; both must be >= 1")
             w = _num_words(k)
             payload = fh.read()
         expected = n * w * 8

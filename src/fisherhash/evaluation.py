@@ -5,11 +5,12 @@ codes only, one block of queries at a time on one thread; every item of
 a code shares its distance.  Ranking ties at equal distance break by
 ascending database index, so results are deterministic and
 oracle-comparable.  `search` picks each query's top k from the code
-distances and the code counts; `metrics_report` takes the code
-distances out to the items for its full rankings.  Metrics: MAP@k,
-precision and recall at N, and a precision/recall sweep over Hamming
-radius, accumulated one query at a time from that query's ranked
-relevance and its running hit count.
+distances and the code counts.  `metrics_report` builds each full
+ranking's relevance per distance bucket, and ranks the items only of a
+row where one bucket holds both relevant and irrelevant items.
+Metrics: MAP@k, precision and recall at N, and a precision/recall
+sweep over Hamming radius, accumulated one query at a time from that
+query's ranked relevance and its running hit count.
 """
 
 from __future__ import annotations
@@ -160,14 +161,20 @@ def metrics_report(
     equal code words and an equal label set form one pattern, and only
     each pattern's first occurrence is ranked, streamed one block of
     patterns at a time.  Each block is measured against the distinct
-    database codes only and taken out to the items, so the stable item
-    ranking is the one over all items; the items within each Hamming
-    radius are counted from the code counts.  A pattern's row is scored
-    once: its ranked relevance comes from a table of distinct query
-    label sets x distinct database label sets, and one integer running
-    count of hits gives P@N, R@N and the hits within every Hamming
-    radius.  A row is kept for the pattern's later occurrences only,
-    until its last.
+    database codes only.  A ranking lists the items by distance, ties by
+    ascending index, so it is a run of distance buckets, nearest first.
+    Count-weighted bincounts give each bucket's items, from the code
+    counts, and its relevant items, from the distinct (code, database
+    label set) pairs.  Where every bucket is all relevant or all
+    irrelevant, the ranked relevance is each bucket's flag repeated
+    over its items, and no item order is built.  Where one bucket mixes
+    the two, that row alone takes its code distances out to the items
+    and stable-argsorts them.  A pattern's row is scored once: one
+    integer running count of hits gives P@N, R@N and the hits within
+    every Hamming radius.  A row is kept for the pattern's later
+    occurrences only, until its last.  Memory is O(block x distinct
+    codes) for the code distances and the relevant pairs of each query
+    label set in the block, plus O(n_db) per scored row.
     Per-query sums are taken in query order, so every mean equals the
     one over the whole n_q x n_db matrices.
     Raises ValueError for a class id outside [0, num_classes).
@@ -190,6 +197,10 @@ def metrics_report(
     ns = np.arange(1, n_max + 1, dtype=np.float64)
 
     groups = database.groups()
+    # The distinct (code, database label set) pairs and their item
+    # counts give the relevant items at each distance.
+    pair_keys, pair_counts = np.unique(groups.code_of * len(db_sets) + db_pid, return_counts=True)
+    pair_code, pair_set = np.divmod(pair_keys, len(db_sets))
     # A query's scored row depends only on its code words and its
     # distinct label set, its pattern.
     keys = np.column_stack([queries.words, q_pid.astype(np.uint64)])
@@ -197,15 +208,21 @@ def metrics_report(
         keys, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
     pattern = pattern.ravel()
-    # Each block's code distances, taken out to the items, are the item
-    # distances; their stable argsort is the ranking over all items.
-    rows = (
-        (dist_row, order_row)
-        for _, dist in _ranked_blocks(queries.take(np.sort(first)), database)
-        for dist_row, order_row in zip(
-            dist, np.argsort(dist.take(groups.code_of, axis=1), axis=1, kind="stable")
-        )
-    )
+    ranked = np.sort(first)
+
+    def ranked_rows():
+        # Each ranked row, with the codes that hold items relevant to
+        # its query label set and their relevant item counts, picked
+        # once per label set in a block.
+        for start, dist in _ranked_blocks(queries.take(ranked), database):
+            relevant = {}
+            for row, s in zip(dist, q_pid[ranked[start:start + len(dist)]]):
+                if s not in relevant:
+                    pick = table[s].take(pair_set)
+                    relevant[s] = pair_code[pick], pair_counts[pick]
+                yield row, relevant[s]
+
+    rows = ranked_rows()
     cached = {}
 
     hits_at_1 = np.zeros(n_q)
@@ -223,16 +240,23 @@ def metrics_report(
         p = pattern[q]
         r_total = r_totals[q]
         if first[p] == q:
-            dist_row, order_row = next(rows)
-            rel = table[q_pid[q]].take(db_pid.take(order_row))
+            dist_row, (rel_codes, rel_counts) = next(rows)
+            # The ranking is sorted by distance: bucket r, the items at
+            # distance r, follows every nearer bucket.
+            size = np.bincount(dist_row, groups.counts, minlength=k_bits + 1)
+            relc = np.bincount(dist_row.take(rel_codes), rel_counts, minlength=k_bits + 1)
+            if ((relc > 0) & (relc < size)).any():
+                # A bucket mixes relevant and irrelevant items: rank the
+                # items, ties by ascending index.
+                order = np.argsort(dist_row.take(groups.code_of), kind="stable")
+                rel = table[q_pid[q]].take(db_pid.take(order))
+            else:
+                rel = np.repeat(relc == size, size.astype(np.intp))
             np.cumsum(rel, dtype=np.int32, out=cum[1:])
             hits = cum[1:n_max + 1]
             ap_row = [average_precision(rel[:k], int(r_total)) for k in ks] if r_total else []
-            # The ranking is sorted by distance, so the items within
-            # radius r are the first ends[r] ranked: the items of every
-            # code within r.
-            ends = np.bincount(dist_row, groups.counts, minlength=k_bits + 1)
-            ends = ends.cumsum().astype(np.intp)
+            # The items within radius r are the first ends[r] ranked.
+            ends = size.cumsum().astype(np.intp)
             row = hits, ap_row, ends, cum[ends]
             if left[p] > 1:
                 row = cached[p] = (hits.copy(), *row[1:])

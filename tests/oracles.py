@@ -1,5 +1,6 @@
 """Independent reference computations used by several test modules."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -315,3 +316,25 @@ def reference_load_labels(path, num_classes, n_items):
     if missing:
         raise DataError(f"{path}: no labels for item {missing[0]}")
     return label_matrix(sets, num_classes), sets
+
+
+def reference_decode_codes(data):
+    """The K x N sign matrix an FHSH byte string describes, or None.
+
+    Read with struct and Python ints, bit by bit: magic b"FHSH", then
+    little-endian u32 version 1, K >= 1 and N >= 1, then exactly
+    N * ceil(K/64) little-endian u64 words, item by item, bit j of word
+    w being entry 64*w + j (1 <-> +1).  Padding bits are ignored.
+    """
+    if len(data) < 16 or data[:4] != b"FHSH":
+        return None
+    version, k, n = struct.unpack("<3I", data[4:16])
+    w = (k + 63) // 64
+    if version != 1 or k < 1 or n < 1 or len(data) != 16 + 8 * n * w:
+        return None
+    signs = np.empty((k, n), dtype=np.int8)
+    for i in range(n):
+        item = int.from_bytes(data[16 + 8 * w * i:16 + 8 * w * (i + 1)], "little")
+        for j in range(k):
+            signs[j, i] = 1 if item >> j & 1 else -1
+    return signs

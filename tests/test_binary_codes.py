@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisherhash.binary_codes import (
@@ -13,6 +15,8 @@ from fisherhash.binary_codes import (
     unpack,
 )
 from fisherhash.exceptions import DataError
+
+from oracles import reference_decode_codes
 
 
 def codes_from_signs(signs):
@@ -219,6 +223,80 @@ class TestPaddingAndFileFormat:
         canonical = codes_from_signs([1, -1, 1, 1, -1])
         assert loaded == canonical
         assert hamming_distance(loaded, canonical) == 0
+
+
+def fhsh_bytes(table):
+    """The bytes `BinaryCodeMatrix.save` writes for a table."""
+    header = b"FHSH" + np.array([1, table.K, table.n], dtype="<u4").tobytes()
+    return header + table.words.astype("<u8").tobytes()
+
+
+@st.composite
+def code_tables(draw):
+    """One or two words per item, 1 to 5 items."""
+    k = draw(st.sampled_from([1, 5, 63, 64, 65, 128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return codes_from_signs(rng.choice([-1, 1], size=(k, draw(st.integers(1, 5)))))
+
+
+class TestLoaderFuzz:
+    """Damaged FHSH files load as the table they describe or raise DataError."""
+
+    @staticmethod
+    def load_or_data_error(path, data):
+        path.write_bytes(data)
+        try:
+            return BinaryCodeMatrix.load(path)
+        except DataError:
+            return None
+
+    def assert_loads_as_described(self, path, data):
+        loaded = self.load_or_data_error(path, data)
+        want = reference_decode_codes(data)
+        if want is None:
+            assert loaded is None
+        else:
+            assert loaded.K == want.shape[0] and np.array_equal(loaded.dense(), want)
+
+    @given(code_tables())
+    @settings(max_examples=30, deadline=None)
+    def test_truncation_at_every_length(self, tmp_path_factory, table):
+        data = fhsh_bytes(table)
+        path = tmp_path_factory.mktemp("fhsh") / "t.fhsh"
+        assert self.load_or_data_error(path, data) == table
+        for length in range(len(data)):
+            assert self.load_or_data_error(path, data[:length]) is None, length
+
+    @given(code_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_byte_flip(self, tmp_path_factory, table, data):
+        flipped = bytearray(fhsh_bytes(table))
+        flipped[data.draw(st.integers(0, len(flipped) - 1))] ^= data.draw(st.integers(1, 255))
+        self.assert_loads_as_described(tmp_path_factory.mktemp("fhsh") / "f.fhsh", bytes(flipped))
+
+    @given(code_tables(), st.sampled_from(["version", "K", "N"]),
+           st.sampled_from([0, 1, 2**32 - 1]))
+    @example(codes_from_signs(np.ones((5, 2))), "K", 0)
+    @example(codes_from_signs(np.ones((5, 2))), "N", 0)
+    @settings(max_examples=60, deadline=None)
+    def test_header_field_set_to_an_extreme(self, tmp_path_factory, table, field, value):
+        raw = fhsh_bytes(table)
+        at = 4 + 4 * ["version", "K", "N"].index(field)
+        data = raw[:at] + value.to_bytes(4, "little") + raw[at + 4:]
+        self.assert_loads_as_described(tmp_path_factory.mktemp("fhsh") / "h.fhsh", data)
+
+    @pytest.mark.parametrize("k, n", [(2**32 - 1, 1), (64, 2**32 - 1), (2**32 - 1, 2**32 - 1)])
+    def test_claimed_sizes_are_checked_before_allocating(self, tmp_path, k, n):
+        path = tmp_path / "huge.fhsh"
+        path.write_bytes(b"FHSH" + np.array([1, k, n], dtype="<u4").tobytes() + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="expected"):
+                BinaryCodeMatrix.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGroups:

@@ -383,6 +383,27 @@ class TestEncodeIndexQuery:
         assert err.startswith("error (data)") and target.name in err and "directory" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("head", [
+        [1, 0, 5],
+        [1, 4, 0],
+        [1, 4],
+    ], ids=["no-bits", "no-items", "header-cut-in-a-field"])
+    def test_malformed_code_header_exits_3(self, tmp_path, capsys, head):
+        # An FHSH header of (version, K, N) and no payload, which is the
+        # payload size K = 0 or N = 0 claims; the last ends 2 bytes into N.
+        write_eval_fixture(tmp_path)
+        db = tmp_path / "db.fhsh"
+        cut = b"\x05\x00" if len(head) == 2 else b""
+        db.write_bytes(b"FHSH" + np.array(head, dtype="<u4").tobytes() + cut)
+        capsys.readouterr()
+        code = run_cli("eval", "--db-codes", str(db), "--db-labels", str(tmp_path / "db_labels.txt"),
+                       "--query-codes", str(tmp_path / "q.fhsh"),
+                       "--query-labels", str(tmp_path / "q_labels.txt"),
+                       "--classes", "3", "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error (data)")
+        assert not (tmp_path / "o").exists()
+
 
     @pytest.mark.parametrize("text", [
         '{"classes": 3',

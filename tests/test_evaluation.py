@@ -609,3 +609,83 @@ class TestStreamingEngineAgainstOracle:
         assert got.map_at == want.map_at
         assert got.top_n.tobytes() == want.top_n.tobytes()
         assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
+
+
+def assert_same_report(got, want):
+    assert got.map_at == want.map_at
+    for name in ("top_n", "pr_radius"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.n_queries, got.n_database) == (want.n_queries, want.n_database)
+
+
+@pytest.mark.parametrize("max_n", [1, None], ids=["max_n-1", "full-prn"])
+class TestBucketBuiltRows:
+    """`metrics_report` ranks items only for rows with a mixed distance bucket."""
+
+    BASE = np.ones(8, dtype=int)
+
+    @classmethod
+    def flipped(cls, *bits):
+        code = cls.BASE.copy()
+        code[list(bits)] *= -1
+        return code
+
+    @staticmethod
+    def report_and_item_rankings(inst):
+        """The report, checked against the whole-matrix reference, and the
+        number of argsorts over all n_db items it took."""
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = metrics_report(**inst)
+        assert_same_report(got, reference_metrics_report(**inst))
+        return sum(np.size(call.args[0]) == inst["database"].n for call in argsort.call_args_list)
+
+    def instance(self, codes, code_labels, counts, q_codes, q_labels, max_n, seed=0):
+        # Items of every code interleave by index; code_labels[c] lists
+        # the label sets its items take in turn.
+        rng = np.random.default_rng(seed)
+        code_of = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        turn = np.zeros(len(counts), dtype=int)
+        db_labels = []
+        for c in code_of:
+            db_labels.append(frozenset(code_labels[c][turn[c] % len(code_labels[c])]))
+            turn[c] += 1
+        return dict(queries=BinaryCodeMatrix.from_signs(np.column_stack(q_codes)),
+                    database=BinaryCodeMatrix.from_signs(np.column_stack(codes)[:, code_of]),
+                    query_label_sets=q_labels, db_label_sets=db_labels,
+                    ks=[1, 7, len(code_of)], num_classes=3, max_n=max_n), code_of
+
+    def test_uniform_buckets_take_no_item_ranking(self, max_n):
+        # From every query, codes at one distance are all relevant or all
+        # irrelevant; flipped(1, 2) and flipped(4, 5) tie at every query.
+        f = self.flipped
+        codes = [f(), f(0), f(1, 2), f(4, 5), -self.BASE]
+        inst, _ = self.instance(codes, [[{0}], [{1}], [{0}], [{0}], [{2}]], [20, 15, 25, 12, 10],
+                                [f(), f(0), -self.BASE, f(3)], [{0}, {1}, {2}, {0, 2}], max_n)
+        assert self.report_and_item_rankings(inst) == 0
+
+    def test_relevant_and_irrelevant_codes_tied(self, max_n):
+        # flipped(0) {0} and flipped(1) {1} are both 1 bit from the first
+        # query and 7 from the second, and their items interleave.
+        f = self.flipped
+        inst, code_of = self.instance([f(), f(0), f(1), -self.BASE], [[{0}], [{0}], [{1}], [{1}]],
+                                      [10, 30, 30, 10], [f(), -self.BASE, f(5)],
+                                      [{0}, {1}, {2}], max_n)
+        a, b = np.flatnonzero(code_of == 1), np.flatnonzero(code_of == 2)
+        assert a.min() < b.max() and b.min() < a.max()
+        # The third query has no relevant item: every bucket is irrelevant.
+        assert self.report_and_item_rankings(inst) == 2
+
+    def test_one_code_holding_relevant_and_irrelevant_items(self, max_n):
+        f = self.flipped
+        inst, _ = self.instance([f(), f(0, 1, 2), -self.BASE], [[{0}, {1}, {1}], [{1}], [{2}]],
+                                [40, 20, 20], [f(), f(0, 1, 2), -self.BASE], [{0}, {1}, {2}], max_n)
+        # Only the rows where the first code is relevant in part mix.
+        assert self.report_and_item_rankings(inst) == 2
+
+    def test_code_wholly_relevant_to_one_label_set_and_partly_to_another(self, max_n):
+        # Every item of the first code has class 0, some also class 1.
+        f = self.flipped
+        inst, _ = self.instance([f(), f(0, 1, 2, 3)], [[{0}, {0, 1}, {0}], [{1}]], [45, 15],
+                                [f(), f(), f(), f(7)], [{0}, {1}, {0, 1}, {2}], max_n)
+        assert self.report_and_item_rankings(inst) == 1
