@@ -140,12 +140,6 @@ def _output(args, payload: dict):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _check_threads(args) -> None:
-    """Validate --threads; no result depends on it, since ranking is single-threaded."""
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-
-
 def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
     spec = _section(cfg, "dataset")
     if not spec:
@@ -216,7 +210,6 @@ def _encode_features(state, features: np.ndarray) -> BinaryCodeMatrix:
 
 
 def cmd_train(args) -> int:
-    _check_threads(args)
     cfg = _load_config_file(args.config)
     base_dir = Path(args.config).parent if args.config else Path(".")
     dataset = _build_dataset(cfg, base_dir)
@@ -237,6 +230,9 @@ def cmd_encode(args) -> int:
 
     state = load_checkpoint(args.checkpoint)
     features = load_features(args.features)
+    if features.shape[0] != state.input_dim:
+        raise DataError(f"{args.features}: feature dim {features.shape[0]} != checkpoint "
+                        f"input dim {state.input_dim}")
     codes = _encode_features(state, features)
     payload = {
         "command": "encode",
@@ -289,7 +285,6 @@ def cmd_query(args) -> int:
     queries = BinaryCodeMatrix.load(args.queries)
     if args.k < 1 or args.k > db_codes.n:
         raise ConfigError(f"--k must be in [1, {db_codes.n}], got {args.k}")
-    _check_threads(args)
     results = search(queries, db_codes, k=args.k)
     payload = {"command": "query", "index": str(args.index),
                "queries": str(args.queries), "k": args.k}
@@ -325,7 +320,6 @@ def cmd_eval(args) -> int:
         "query_codes": str(args.query_codes),
         "ks": ks,
     }
-    _check_threads(args)
     with _output(args, payload) as (stage, chash):
         report = metrics_report(
             query_codes, db_codes, query_labels, db_labels,
@@ -513,6 +507,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        # Every command accepts --threads; no result depends on it, since ranking is single-threaded.
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return handler(args)
     except ConfigError as exc:
         _report_error(args, exc, "config")

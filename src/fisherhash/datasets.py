@@ -123,6 +123,8 @@ def load_features(path, expected_dim: int | None = None, expected_n: int | None 
         version, dim, n = (int(v) for v in head)
         if version != FEATURE_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
+        if dim == 0 or n == 0:
+            raise DataError(f"{path}: empty feature table (dim {dim}, N {n})")
         if expected_dim is not None and dim != expected_dim:
             raise DataError(f"{path}: header dim {dim} != manifest dim {expected_dim}")
         if expected_n is not None and n != expected_n:

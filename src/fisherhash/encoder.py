@@ -217,6 +217,8 @@ def load_checkpoint(path) -> EncoderState:
         version, num_layers, input_dim = (int(v) for v in head)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
+        if num_layers == 0 or input_dim == 0:
+            raise DataError(f"{path}: {num_layers} layers of input width {input_dim}; both must be >= 1")
         payload = fh.read()
     if 8 * num_layers > len(payload):
         raise DataError(f"{path}: truncated layer table")
@@ -228,12 +230,16 @@ def load_checkpoint(path) -> EncoderState:
         out_dim, act_code = int(layer_meta[2 * idx]), int(layer_meta[2 * idx + 1])
         if act_code not in _ACT_NAMES:
             raise DataError(f"{path}: unknown activation code {act_code}")
+        if out_dim == 0:
+            raise DataError(f"{path}: layer {idx} has output width 0")
         if offset + 8 * out_dim * (fan_in + 1) > len(payload):
             raise DataError(f"{path}: truncated parameters at layer {idx}")
         w = np.frombuffer(payload, dtype="<f8", count=out_dim * fan_in, offset=offset)
         offset += w.nbytes
         b = np.frombuffer(payload, dtype="<f8", count=out_dim, offset=offset)
         offset += b.nbytes
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise DataError(f"{path}: non-finite parameters at layer {idx}")
         state.weights.append(w.reshape(out_dim, fan_in).copy())
         state.biases.append(b.copy())
         state.activations.append(_ACT_NAMES[act_code])

@@ -16,7 +16,7 @@ query's ranked relevance and its running hit count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +141,6 @@ class MetricsReport:
     n_queries: int
     n_database: int
     config_hash: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def metrics_report(
@@ -353,7 +352,6 @@ def write_metrics_json(report: MetricsReport, path) -> None:
         "n_queries": report.n_queries,
         "n_database": report.n_database,
         "map": {str(k): v for k, v in report.map_at.items()},
-        **report.extra,
     }
     tables = {"top_n": report.top_n, "pr_radius": report.pr_radius}
     if not all(np.isfinite(t).all() for t in tables.values()):

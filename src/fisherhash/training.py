@@ -37,8 +37,8 @@ class HyperParams:
 
     phi scales the pair losses relative to the quantization pull (whose
     weight stays 1); mu and nu weigh the center pull and the center
-    separation; eta anchors relaxed centers to their sign pattern.  The
-    use_* flags zero out the corresponding term for ablations.
+    separation; eta anchors relaxed centers to their sign pattern.  A
+    weight (or the margin) of 0 switches its term off.
     """
 
     bits: int
@@ -53,10 +53,6 @@ class HyperParams:
     margin: float = 1.0
     weight_decay: float = 0.0
     momentum: float = 0.0
-    use_pair: bool = True
-    use_intra: bool = True
-    use_inter: bool = True
-    use_margin: bool = True
     center_inner_lr: float = 1e-2
     center_inner_steps: int = 20
     center_rounds: int = 3
@@ -79,8 +75,8 @@ class HyperParams:
         for name in ("phi", "mu", "nu", "eta", "margin", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.use_pair and self.batch_size < 2:
-            raise ValueError("use_pair requires batch_size >= 2 (pairs need two items)")
+        if self.phi > 0 and self.batch_size < 2:
+            raise ValueError("phi > 0 requires batch_size >= 2 (pairs need two items)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.lr <= 0:
@@ -90,26 +86,10 @@ class HyperParams:
         if self.center_inner_steps < 1 or self.center_rounds < 1:
             raise ValueError("center_inner_steps and center_rounds must be >= 1")
 
-    @property
-    def effective_phi(self) -> float:
-        return self.phi if self.use_pair else 0.0
-
-    @property
-    def effective_mu(self) -> float:
-        return self.mu if self.use_intra else 0.0
-
-    @property
-    def effective_nu(self) -> float:
-        return self.nu if self.use_inter else 0.0
-
-    @property
-    def effective_margin(self) -> float:
-        return self.margin if self.use_margin else 0.0
-
     def center_hyper(self) -> CenterHyper:
         return CenterHyper(
-            mu=self.effective_mu,
-            nu=self.effective_nu,
+            mu=self.mu,
+            nu=self.nu,
             eta=self.eta,
             inner_lr=self.center_inner_lr,
             inner_steps=self.center_inner_steps,
@@ -117,23 +97,18 @@ class HyperParams:
         )
 
     def weighted_total(self, pair: float, intra: float, inter: float, quant: float) -> float:
-        """The joint objective from its raw blocks: phi, mu and nu (after
-        the ablation flags) weigh pair, intra and inter; quant has weight 1."""
-        return (
-            self.effective_phi * pair
-            + self.effective_mu * intra
-            + self.effective_nu * inter
-            + quant
-        )
+        """The joint objective from its raw blocks: phi, mu and nu weigh
+        pair, intra and inter; quant has weight 1."""
+        return self.phi * pair + self.mu * intra + self.nu * inter + quant
 
     def ablation(self, variant: str) -> "HyperParams":
-        """The three stacked variants: pair / pair+intra / full."""
+        """The three stacked variants: pair (mu = nu = 0), pair+intra (nu = 0), full."""
         if variant == "pair":
-            return replace(self, use_pair=True, use_intra=False, use_inter=False)
+            return replace(self, mu=0.0, nu=0.0)
         if variant == "pair+intra":
-            return replace(self, use_pair=True, use_intra=True, use_inter=False)
+            return replace(self, nu=0.0)
         if variant == "full":
-            return replace(self, use_pair=True, use_intra=True, use_inter=True)
+            return self
         raise ValueError(f"unknown ablation variant {variant!r}")
 
 
@@ -185,10 +160,10 @@ def joint_objective(u, b, c, y, pairs, hp: HyperParams):
     """Weighted sum of the four objective blocks on explicit inputs.
 
     Returns (total, components); the components are the raw block
-    values, the total applies phi/mu/nu and the ablation flags.
+    values, the total applies phi/mu/nu.
     """
     a = target_matrix(hp.bits, np.asarray(y).shape[0])
-    pair = pair_objective(u, b, pairs, MarginParams(m=hp.effective_margin, psi=0.0))
+    pair = pair_objective(u, b, pairs, MarginParams(m=hp.margin, psi=0.0))
     intra = centers_mod.intra_loss(b, c, y)
     inter = centers_mod.inter_loss(c, a)
     quant = centers_mod.quant_loss(b, u)
@@ -209,8 +184,8 @@ def continuous_step_gradient(u: np.ndarray, b, pairs, hp: HyperParams) -> np.nda
     bd = b.dense(np.float64) if isinstance(b, BinaryCodeMatrix) else np.asarray(b, dtype=np.float64)
     grad = 2.0 * (u - bd) / n
     s = sign_matrix(pairs, n)
-    if hp.use_pair and s.any():
-        pair_part = pair_gradient(u, bd, s, MarginParams(m=hp.effective_margin, psi=0.0))
+    if hp.phi > 0 and s.any():
+        pair_part = pair_gradient(u, bd, s, MarginParams(m=hp.margin, psi=0.0))
         grad = grad + hp.phi * pair_part / (np.count_nonzero(s) // 2)
     return grad
 
@@ -223,7 +198,7 @@ def _discrete_phase(u_full, y, v, hp: HyperParams, a):
     ch = hp.center_hyper()
     for _ in range(ch.rounds):
         v, c = update_centers(v, b, y, a, ch)
-        b = update_codes(u_full, c, y, hp.effective_mu)
+        b = update_codes(u_full, c, y, hp.mu)
     return b, c, v
 
 
@@ -287,7 +262,7 @@ def train(
         u_full, _ = encoder_mod.forward(state, x)
         b, c, v = _discrete_phase(u_full, y, v, hp, a)
 
-        pair = pair_loss_full(u_full, label_sets, hp.effective_margin)
+        pair = pair_loss_full(u_full, label_sets, hp.margin)
         intra = centers_mod.intra_loss(b, c, y)
         inter = centers_mod.inter_loss(c, a)
         quant = centers_mod.quant_loss(b, u_full)
@@ -300,7 +275,8 @@ def train(
 
     if hp.epochs == 0:
         # Degenerate run: codes are the sign pattern of the untrained encoder.
-        c, v = _initial_centers_for_report(u_full, y)
+        v = init_centers(u_full, y)
+        c = BinaryCodeMatrix.from_values(centers_mod.sign_plus(v))
     train_metrics = metrics_report(
         b, b, label_sets, label_sets, ks=[b.n], num_classes=dataset.num_classes, max_n=1
     )
@@ -310,11 +286,6 @@ def train(
     if out_dir is not None:
         _save_artifacts(out_dir, state, b, c, v, report)
     return report
-
-
-def _initial_centers_for_report(u_full, y):
-    v = init_centers(u_full, y)
-    return BinaryCodeMatrix.from_values(centers_mod.sign_plus(v)), v
 
 
 def _save_artifacts(out_dir, state, b, c, v, report: TrainReport) -> None:

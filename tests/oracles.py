@@ -274,7 +274,6 @@ def reference_write_metrics_json(report, path):
             {"radius": int(r), "precision": p, "recall": rc}
             for r, p, rc in report.pr_radius
         ],
-        **report.extra,
     })
 
 

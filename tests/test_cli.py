@@ -9,7 +9,7 @@ import pytest
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.cli import main
 from fisherhash.datasets import DatasetManifest, save_manifest, write_features, write_labels
-from fisherhash.encoder import EncoderSpec, init_state, save_checkpoint
+from fisherhash.encoder import EncoderSpec, EncoderState, init_state, save_checkpoint
 
 from oracles import reference_search, reference_write_results_csv
 
@@ -121,13 +121,20 @@ class TestTrainCommand:
         {"epochs": 0, "center_inner_steps": 0},
         {"epochs": 0, "center_rounds": -3},
         {"epochs": 0, "center_inner_lr": 0.0},
+        # A term is switched off by its weight (phi, mu, nu, margin) set to 0.
+        {"use_pair": False},
+        {"use_intra": False},
+        {"use_inter": False},
+        {"use_margin": False},
     ], ids=["fractional-bits", "bool-epochs", "nan-lr", "inf-phi",
             "removed-warm-start", "removed-reinit", "zero-center-steps",
-            "negative-center-rounds", "zero-center-lr"])
-    def test_malformed_hyper_value_exits_2(self, tmp_path, probe):
+            "negative-center-rounds", "zero-center-lr", "removed-use-pair",
+            "removed-use-intra", "removed-use-inter", "removed-use-margin"])
+    def test_malformed_hyper_value_exits_2(self, tmp_path, capsys, probe):
         cfg_path = tmp_path / "cfg.json"
         write_train_config(cfg_path, epochs=1, extra_hyper=probe)
         assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        assert list(probe)[-1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("classes", "abc"),
@@ -317,6 +324,41 @@ class TestEncodeIndexQuery:
         assert code == 3
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("checkpoint, features, message", [
+        ("valid", np.zeros((5, 3)), "feature dim 5 != checkpoint input dim 4"),
+        ("no-layers", np.zeros((4, 3)), "0 layers"),
+        ("zero-input-width", np.zeros((4, 3)), "input width 0"),
+        ("zero-output-width", np.zeros((4, 3)), "layer 0 has output width 0"),
+        ("nan-weight", np.zeros((4, 3)), "non-finite parameters at layer 0"),
+        ("inf-bias", np.zeros((4, 3)), "non-finite parameters at layer 0"),
+        ("valid", np.zeros((0, 3)), "empty feature table"),
+        ("valid", np.zeros((4, 0)), "empty feature table"),
+    ], ids=["dim-mismatch", "no-layers", "zero-input-width", "zero-output-width",
+            "nan-weight", "inf-bias", "zero-dim-features", "zero-item-features"])
+    def test_unusable_checkpoint_or_features_exit_3(self, tmp_path, capsys, checkpoint,
+                                                    features, message):
+        path = tmp_path / "enc.fhnn"
+        w, b = np.ones((2, 4)), np.zeros(2)
+        if checkpoint == "no-layers":
+            path.write_bytes(b"FHNN" + np.array([1, 0, 4], dtype="<u4").tobytes())
+        elif checkpoint == "zero-input-width":
+            save_checkpoint(EncoderState([np.ones((2, 0))], [b], ["identity"]), path)
+        elif checkpoint == "zero-output-width":
+            save_checkpoint(EncoderState([np.ones((0, 4))], [np.zeros(0)], ["identity"]), path)
+        else:
+            if checkpoint == "nan-weight":
+                w[1, 2] = np.nan
+            if checkpoint == "inf-bias":
+                b[0] = np.inf
+            save_checkpoint(EncoderState([w], [b], ["identity"]), path)
+        write_features(tmp_path / "x.fhft", features)
+        code = run_cli("encode", "--checkpoint", str(path),
+                       "--features", str(tmp_path / "x.fhft"), "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (data)") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_query_k_out_of_range(self, tmp_path, capsys):
         write_eval_fixture(tmp_path)
         idx_dir = tmp_path / "index"
@@ -487,6 +529,30 @@ class TestThreadsFlag:
         assert query("0", "q0") == 2
         assert evaluate("0", "e0") == 2
         assert capsys.readouterr().err.count("--threads must be >= 1") == 2
+
+    @pytest.mark.parametrize("command", ["encode", "index", "ablate", "curves"])
+    def test_zero_threads_exits_2_on_every_command(self, tmp_path, capsys, command):
+        # Each command line below succeeds with --threads 1.
+        write_eval_fixture(tmp_path)
+        save_checkpoint(init_state(EncoderSpec(input_dim=4, output_dim=2)), tmp_path / "enc.fhnn")
+        write_features(tmp_path / "x.fhft", np.zeros((4, 3)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_train_config(cfg_path, epochs=1)
+        cfg["ablate"] = {"seeds": [0], "variants": ["pair"]}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = {
+            "encode": ["--checkpoint", str(tmp_path / "enc.fhnn"),
+                       "--features", str(tmp_path / "x.fhft")],
+            "index": ["--codes", str(tmp_path / "db.fhsh"),
+                      "--labels", str(tmp_path / "db_labels.txt"), "--classes", "3"],
+            "ablate": ["--config", str(cfg_path)],
+            "curves": ["--points", "5"],
+        }[command]
+        assert run_cli(command, *argv, "--threads", "1", "--out", str(tmp_path / "ok")) == 0
+        capsys.readouterr()
+        assert run_cli(command, *argv, "--threads", "0", "--out", str(tmp_path / "o")) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvalCommand:

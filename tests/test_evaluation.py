@@ -378,8 +378,7 @@ EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e1
 
 @st.composite
 def metric_reports(draw):
-    """Reports with edge-case floats, empty or one-row tables and extra
-    keys sorting before, between and after the row tables."""
+    """Reports with edge-case floats and empty or one-row tables."""
     values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
     finite = draw(st.booleans())
     cell = st.floats(allow_nan=False, allow_infinity=False) if finite else values
@@ -389,11 +388,6 @@ def metric_reports(draw):
         return np.array(rows, dtype=np.float64).reshape(n_rows, 3)
 
     ks = draw(st.lists(st.integers(1, 10**6), max_size=4, unique=True))
-    extra = draw(st.dictionaries(
-        st.sampled_from(["a", "map_note", "n_x", "pr", "q", "s", "top", "top_nn", "z"]),
-        st.one_of(st.integers(), st.text(max_size=5), values, st.lists(st.integers(), max_size=2)),
-        max_size=4,
-    ))
     return MetricsReport(
         map_at={k: draw(values) for k in ks},
         top_n=table(draw(st.sampled_from([0, 1, 1, 2, 7])), 1),
@@ -401,7 +395,6 @@ def metric_reports(draw):
         n_queries=draw(st.integers(0, 10**6)),
         n_database=draw(st.integers(0, 10**6)),
         config_hash=draw(st.one_of(st.none(), st.text(alphabet="0123456789abcdef", max_size=12))),
-        extra=extra,
     )
 
 

@@ -31,7 +31,7 @@ class TestHyperParams:
             HyperParams(bits=4, epochs=1, batch_size=1)
 
     def test_quant_only_batch_of_one_allowed(self):
-        HyperParams(bits=4, epochs=1, batch_size=1, use_pair=False)
+        HyperParams(bits=4, epochs=1, batch_size=1, phi=0.0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nu"):
@@ -40,11 +40,12 @@ class TestHyperParams:
     def test_ablation_variants(self):
         hp = tiny_hp()
         pair_only = hp.ablation("pair")
-        assert pair_only.effective_mu == 0.0 and pair_only.effective_nu == 0.0
+        assert pair_only.mu == 0.0 and pair_only.nu == 0.0
         with_intra = hp.ablation("pair+intra")
-        assert with_intra.effective_mu == hp.mu and with_intra.effective_nu == 0.0
+        assert with_intra.mu == hp.mu and with_intra.nu == 0.0
         full = hp.ablation("full")
-        assert full.effective_mu == hp.mu and full.effective_nu == hp.nu
+        assert full.mu == hp.mu and full.nu == hp.nu
+        assert full == hp
         with pytest.raises(ValueError):
             hp.ablation("bogus")
 
@@ -125,8 +126,7 @@ class TestContinuousStepGradient:
         b = BinaryCodeMatrix.from_signs(signs)
         label_sets = [frozenset({int(c)}) for c in rng.integers(0, 3, size=n)]
         pairs = PairSets.all_pairs_from_label_sets(label_sets)
-        hp = HyperParams(bits=4, epochs=1, phi=0.8, mu=0.0, nu=0.0,
-                         use_intra=False, use_inter=False, use_margin=False)
+        hp = HyperParams(bits=4, epochs=1, phi=0.8, mu=0.0, nu=0.0, margin=0.0)
         got = continuous_step_gradient(u, b, pairs, hp)
         classical = (
             0.8 * pair_gradient(u, signs, pairs, MarginParams(m=0.0, psi=0.0)) / pairs.count
@@ -138,7 +138,7 @@ class TestContinuousStepGradient:
         u = np.zeros((2, 4))
         signs = np.ones((2, 4))
         b = BinaryCodeMatrix.from_signs(signs)
-        hp = HyperParams(bits=2, epochs=1, use_pair=False)
+        hp = HyperParams(bits=2, epochs=1, phi=0.0)
         got = continuous_step_gradient(u, b, PairSets(), hp)
         np.testing.assert_allclose(got, 2.0 * (u - signs) / 4)
 
