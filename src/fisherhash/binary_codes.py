@@ -11,14 +11,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import open_binary
+from .datasets import read_binary, write_binary
 from .exceptions import DataError
 
 WORD_BITS = 64
 CODE_MAGIC = b"FHSH"
 CODE_VERSION = 1
-
-_HEADER_DTYPE = np.dtype("<u4")
 
 
 def _num_words(k: int) -> int:
@@ -171,12 +169,9 @@ class BinaryCodeMatrix:
         return f"BinaryCodeMatrix(K={self.K}, n={self.n})"
 
     def save(self, path) -> None:
-        """Write the code table: FHSH header then per-item LE words."""
-        header = np.array([CODE_VERSION, self.K, self.n], dtype=_HEADER_DTYPE)
-        with open(path, "wb") as fh:
-            fh.write(CODE_MAGIC)
-            fh.write(header.tobytes())
-            fh.write(self.words.astype("<u8").tobytes())
+        """Write the code table: FHSH header (K, N) then per-item LE words."""
+        write_binary(path, CODE_MAGIC, CODE_VERSION, self.K, self.n,
+                     self.words.astype("<u8").tobytes())
 
     @classmethod
     def load(cls, path) -> "BinaryCodeMatrix":
@@ -185,20 +180,10 @@ class BinaryCodeMatrix:
         The header's sizes are checked against the payload read from the
         file before anything is allocated from them.
         """
-        with open_binary(path) as fh:
-            magic = fh.read(4)
-            if magic != CODE_MAGIC:
-                raise DataError(f"{path}: bad magic {magic!r}, expected {CODE_MAGIC!r}")
-            header = fh.read(12)
-            if len(header) != 12:
-                raise DataError(f"{path}: truncated header")
-            version, k, n = (int(v) for v in np.frombuffer(header, dtype=_HEADER_DTYPE))
-            if version != CODE_VERSION:
-                raise DataError(f"{path}: unsupported version {version}")
-            if k < 1 or n < 1:
-                raise DataError(f"{path}: header claims K={k}, N={n}; both must be >= 1")
-            w = _num_words(k)
-            payload = fh.read()
+        k, n, payload = read_binary(path, CODE_MAGIC, CODE_VERSION, "code table")
+        if k < 1 or n < 1:
+            raise DataError(f"{path}: header claims K={k}, N={n}; both must be >= 1")
+        w = _num_words(k)
         expected = n * w * 8
         if len(payload) != expected:
             raise DataError(

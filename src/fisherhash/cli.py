@@ -169,10 +169,10 @@ def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
     raise ConfigError("dataset section needs either 'manifest' or 'synthetic'")
 
 
-def _build_hyper(cfg: dict, args) -> HyperParams:
+def _build_hyper(cfg: dict, seed: int | None) -> HyperParams:
     hyper = dict(_section(cfg, "hyper"))
-    if args.seed is not None:
-        hyper["seed"] = args.seed
+    if seed is not None:
+        hyper["seed"] = seed
     try:
         return HyperParams(**hyper)
     except TypeError as exc:
@@ -194,13 +194,6 @@ def _build_encoder_spec(cfg: dict, dataset: Dataset, hp: HyperParams) -> Encoder
         raise ConfigError(f"bad encoder section: {exc}") from exc
 
 
-def _resolved_payload(cfg: dict, args, command: str) -> dict:
-    payload = {"command": command, "config": cfg}
-    if args.seed is not None:
-        payload["seed_override"] = args.seed
-    return payload
-
-
 def _encode_features(state, features: np.ndarray) -> BinaryCodeMatrix:
     u, _ = forward(state, features)
     return BinaryCodeMatrix.from_values(u)
@@ -213,9 +206,12 @@ def cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
     base_dir = Path(args.config).parent if args.config else Path(".")
     dataset = _build_dataset(cfg, base_dir)
-    hp = _build_hyper(cfg, args)
+    hp = _build_hyper(cfg, args.seed)
     spec = _build_encoder_spec(cfg, dataset, hp)
-    with _output(args, _resolved_payload(cfg, args, "train")) as (stage, chash):
+    payload = {"command": "train", "config": cfg}
+    if args.seed is not None:
+        payload["seed_override"] = args.seed
+    with _output(args, payload) as (stage, chash):
         report = train(dataset, hp, spec, out_dir=stage, config_hash=chash)
     print(f"trained {hp.epochs} epochs; training MAP {report.train_map:.4f}; "
           f"artifacts in {args.out} (config {chash})")
@@ -359,8 +355,6 @@ def _eval_split_map(out_dir: Path, dataset: Dataset) -> float:
 def cmd_ablate(args) -> int:
     cfg = _load_config_file(args.config)
     base_dir = Path(args.config).parent if args.config else Path(".")
-    if args.seed is not None:
-        raise ConfigError("--seed conflicts with ablate.seeds; remove one")
     ablate_cfg = _section(cfg, "ablate")
     seeds = ablate_cfg.get("seeds")
     if not isinstance(seeds, list) or not seeds or any(type(s) is not int for s in seeds):
@@ -373,18 +367,17 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"ablate.variants must be a list of distinct names from "
                           f"{ABLATION_VARIANTS}, got {variants!r}")
 
-    with _output(args, _resolved_payload(cfg, args, "ablate")) as (stage, chash):
+    with _output(args, {"command": "ablate", "config": cfg}) as (stage, chash):
         rows = []
         for variant in variants:
             for seed in seeds:
                 run_cfg = json.loads(json.dumps(cfg))  # deep copy
-                run_cfg.setdefault("hyper", {})["seed"] = seed
                 syn = run_cfg.get("dataset", {}).get("synthetic")
                 if syn is not None:
                     # fresh draw per run: each seed sees its own blobs
                     syn["seed"] = int(syn.get("seed", 0)) + seed
                 dataset = _build_dataset(run_cfg, base_dir)
-                hp = _build_hyper(run_cfg, args).ablation(variant)
+                hp = _build_hyper(run_cfg, seed).ablation(variant)
                 spec = _build_encoder_spec(run_cfg, dataset, hp)
                 run_dir = stage / f"{variant.replace('+', '_')}_seed{seed}"
                 train(dataset, hp, spec, out_dir=run_dir, config_hash=chash)
@@ -431,8 +424,6 @@ def cmd_curves(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--seed", type=int, help="override hyper.seed")
     common.add_argument("--threads", type=int,
                         help="accepted and checked (>= 1) for compatibility; fisherhash "
                              "ranks on one thread and no result depends on it")
@@ -448,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("train", parents=[common], help="train encoder, codes, centers")
+    p = sub.add_parser("train", parents=[common], help="train encoder, codes, centers")
+    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--seed", type=int, help="override hyper.seed")
 
     p = sub.add_parser("encode", parents=[common], help="encode features with a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -473,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--ks", default="1,10,100")
 
-    sub.add_parser("ablate", parents=[common], help="run loss-component ablations")
+    p = sub.add_parser("ablate", parents=[common], help="run loss-component ablations")
+    p.add_argument("--config", help="JSON configuration file")
 
     p = sub.add_parser("curves", parents=[common], help="emit margin loss curves")
     p.add_argument("--margins", default="0,1,2")

@@ -9,6 +9,7 @@ proportion 1/m per class in its label-matrix column.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,40 +102,25 @@ class Dataset:
 
 
 def write_features(path, features: np.ndarray) -> None:
-    """FHFT header then one f32 record of dim values per item."""
+    """FHFT header (dim, N) then one f32 record of dim values per item."""
     features = np.asarray(features)
     if features.ndim != 2:
         raise DataError(f"features must be dim x N, got shape {features.shape}")
-    dim, n = features.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(np.array([FEATURE_VERSION, dim, n], dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(features.T, dtype="<f4").tobytes())
+    write_binary(path, FEATURE_MAGIC, FEATURE_VERSION, *features.shape,
+                 np.ascontiguousarray(features.T, dtype="<f4").tobytes())
 
 
 def load_features(path, expected_dim: int | None = None, expected_n: int | None = None) -> np.ndarray:
     """Read a feature table back as float64, dim x N."""
-    with open_binary(path) as fh:
-        if fh.read(4) != FEATURE_MAGIC:
-            raise DataError(f"{path}: not a feature file")
-        head = np.frombuffer(fh.read(12), dtype="<u4")
-        if head.size != 3:
-            raise DataError(f"{path}: truncated header")
-        version, dim, n = (int(v) for v in head)
-        if version != FEATURE_VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        if dim == 0 or n == 0:
-            raise DataError(f"{path}: empty feature table (dim {dim}, N {n})")
-        if expected_dim is not None and dim != expected_dim:
-            raise DataError(f"{path}: header dim {dim} != manifest dim {expected_dim}")
-        if expected_n is not None and n != expected_n:
-            raise DataError(f"{path}: header N {n} != manifest N {expected_n}")
-        payload = fh.read()
-    expected_bytes = dim * n * 4
-    if len(payload) != expected_bytes:
-        raise DataError(
-            f"{path}: expected {expected_bytes} payload bytes, got {len(payload)}"
-        )
+    dim, n, payload = read_binary(path, FEATURE_MAGIC, FEATURE_VERSION, "feature file")
+    if dim == 0 or n == 0:
+        raise DataError(f"{path}: empty feature table (dim {dim}, N {n})")
+    if expected_dim is not None and dim != expected_dim:
+        raise DataError(f"{path}: header dim {dim} != manifest dim {expected_dim}")
+    if expected_n is not None and n != expected_n:
+        raise DataError(f"{path}: header N {n} != manifest N {expected_n}")
+    if len(payload) != dim * n * 4:
+        raise DataError(f"{path}: expected {dim * n * 4} payload bytes, got {len(payload)}")
     values = np.frombuffer(payload, dtype="<f4").reshape(n, dim).T
     if not np.isfinite(values).all():
         raise DataError(f"{path}: non-finite feature values")
@@ -148,15 +134,36 @@ def write_labels(path, label_sets) -> None:
             fh.write(f"{i}: " + " ".join(str(c) for c in sorted(labels)) + "\n")
 
 
-def open_binary(path):
-    """Open a file for reading bytes; a directory is a DataError.
+def write_binary(path, magic: bytes, version: int, a: int, b: int, *payload: bytes) -> None:
+    """Write the header FHSH, FHFT and FHNN share, then the payload chunks.
 
-    A missing file still raises FileNotFoundError, as in `read_text`.
+    The header is 16 bytes: the 4-byte magic, then version and the
+    format's two sizes as little-endian u32.
+    """
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<3I", version, a, b))
+        fh.writelines(payload)
+
+
+def read_binary(path, magic: bytes, version: int, what: str) -> tuple[int, int, memoryview]:
+    """Read a file written by `write_binary`: its two sizes and its payload.
+
+    A directory, another magic, fewer than 16 bytes or another version
+    is a DataError; a missing file still raises FileNotFoundError, as in
+    `read_text`.  The sizes are not checked against the payload here.
     """
     try:
-        return open(path, "rb")
+        data = Path(path).read_bytes()
     except IsADirectoryError as exc:
         raise DataError(f"{path}: is a directory, not a file") from exc
+    if data[:4] != magic:
+        raise DataError(f"{path}: not a {what} (magic {data[:4]!r}, expected {magic!r})")
+    if len(data) < 16:
+        raise DataError(f"{path}: truncated header")
+    found, a, b = struct.unpack_from("<3I", data, 4)
+    if found != version:
+        raise DataError(f"{path}: unsupported version {found}")
+    return a, b, memoryview(data)[16:]
 
 
 def read_text(path) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import open_binary
+from .datasets import read_binary, write_binary
 from .exceptions import DataError, NumericalError
 
 CHECKPOINT_MAGIC = b"FHNN"
@@ -193,41 +193,32 @@ class SGD:
 
 
 def save_checkpoint(state: EncoderState, path) -> None:
-    """FHNN header (dims + activation codes) then parameters as LE f64."""
-    meta = [CHECKPOINT_VERSION, len(state.weights), state.input_dim]
-    for w, act in zip(state.weights, state.activations):
-        meta.extend([w.shape[0], _ACT_CODES[act]])
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(np.array(meta, dtype="<u4").tobytes())
-        for w, b in zip(state.weights, state.biases):
-            fh.write(w.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
+    """FHNN header (layers, input width), a (width, activation code) u32
+    pair per layer, then each layer's weights and biases as LE f64."""
+    table = [(w.shape[0], _ACT_CODES[act]) for w, act in zip(state.weights, state.activations)]
+    params = (p.astype("<f8").tobytes() for wb in zip(state.weights, state.biases) for p in wb)
+    write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(state.weights), state.input_dim,
+                 np.array(table, dtype="<u4").tobytes(), *params)
 
 
 def load_checkpoint(path) -> EncoderState:
     """Read an FHNN checkpoint; every size the header claims is checked
-    against the bytes present before anything is allocated for it."""
-    with open_binary(path) as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not an encoder checkpoint")
-        head = np.frombuffer(fh.read(12), dtype="<u4")
-        if head.size != 3:
-            raise DataError(f"{path}: truncated header")
-        version, num_layers, input_dim = (int(v) for v in head)
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        if num_layers == 0 or input_dim == 0:
-            raise DataError(f"{path}: {num_layers} layers of input width {input_dim}; both must be >= 1")
-        payload = fh.read()
+    against the bytes present before anything is allocated for it.
+
+    The payload must end with the last layer, and the last layer's
+    activation must be identity, as `init_state` always writes it.
+    """
+    num_layers, input_dim, payload = read_binary(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "encoder checkpoint")
+    if num_layers == 0 or input_dim == 0:
+        raise DataError(f"{path}: {num_layers} layers of input width {input_dim}; both must be >= 1")
     if 8 * num_layers > len(payload):
         raise DataError(f"{path}: truncated layer table")
-    layer_meta = np.frombuffer(payload, dtype="<u4", count=2 * num_layers)
+    layer_meta = np.frombuffer(payload, dtype="<u4", count=2 * num_layers).reshape(-1, 2)
     offset = 8 * num_layers
     state = EncoderState()
     fan_in = input_dim
-    for idx in range(num_layers):
-        out_dim, act_code = int(layer_meta[2 * idx]), int(layer_meta[2 * idx + 1])
+    for idx, (out_dim, act_code) in enumerate(layer_meta.tolist()):
         if act_code not in _ACT_NAMES:
             raise DataError(f"{path}: unknown activation code {act_code}")
         if out_dim == 0:
@@ -244,4 +235,8 @@ def load_checkpoint(path) -> EncoderState:
         state.biases.append(b.copy())
         state.activations.append(_ACT_NAMES[act_code])
         fan_in = out_dim
+    if offset != len(payload):
+        raise DataError(f"{path}: {len(payload) - offset} bytes after the last layer")
+    if state.activations[-1] != "identity":
+        raise DataError(f"{path}: last layer's activation is {state.activations[-1]}, not identity")
     return state

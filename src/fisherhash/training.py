@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +114,8 @@ class HyperParams:
 
 @dataclass
 class EpochRecord:
+    """One epoch's objective; its fields are report.csv's columns and report.json's keys."""
+
     epoch: int
     pair_loss: float
     intra_loss: float
@@ -142,17 +144,7 @@ class TrainReport:
             "config_hash": self.config_hash,
             "train_map": self.train_map,
             "artifacts": {k: str(v) for k, v in self.artifacts.items()},
-            "epochs": [
-                {
-                    "epoch": r.epoch,
-                    "pair_loss": r.pair_loss,
-                    "intra_loss": r.intra_loss,
-                    "inter_loss": r.inter_loss,
-                    "quant_loss": r.quant_loss,
-                    "total": r.total,
-                }
-                for r in self.records
-            ],
+            "epochs": [asdict(r) for r in self.records],
         }
 
 
@@ -307,12 +299,8 @@ def _save_artifacts(out_dir, state, b, c, v, report: TrainReport) -> None:
     report.artifacts = {k: p.name for k, p in paths.items()}
     write_json(paths["report_json"], report.as_dict())
     with open(paths["report_csv"], "w", encoding="utf-8") as fh:
-        fh.write("epoch,pair_loss,intra_loss,inter_loss,quant_loss,total\n")
-        for r in report.records:
-            fh.write(
-                f"{r.epoch},{r.pair_loss!r},{r.intra_loss!r},{r.inter_loss!r},"
-                f"{r.quant_loss!r},{r.total!r}\n"
-            )
+        fh.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
+        fh.writelines(",".join(map(repr, astuple(r))) + "\n" for r in report.records)
     # Wall-clock timing goes to a sidecar: it is the one run-dependent
     # quantity and must not break artifact reproducibility.
     with open(out / "timing.json", "w", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 """Independent reference computations used by several test modules."""
 
+import math
 import struct
 from pathlib import Path
 
@@ -337,3 +338,54 @@ def reference_decode_codes(data):
         for j in range(k):
             signs[j, i] = 1 if item >> j & 1 else -1
     return signs
+
+
+def reference_decode_features(data):
+    """The dim x N float64 matrix an FHFT byte string describes, or None.
+
+    Read with struct: magic b"FHFT", then little-endian u32 version 1,
+    dim >= 1 and N >= 1, then exactly N * dim little-endian f32 values,
+    item by item, every one finite.
+    """
+    if len(data) < 16 or data[:4] != b"FHFT":
+        return None
+    version, dim, n = struct.unpack("<3I", data[4:16])
+    if version != 1 or dim < 1 or n < 1 or len(data) != 16 + 4 * dim * n:
+        return None
+    values = struct.unpack(f"<{dim * n}f", data[16:])
+    if not all(math.isfinite(v) for v in values):
+        return None
+    return np.array(values, dtype=np.float64).reshape(n, dim).T
+
+
+def reference_decode_checkpoint(data):
+    """The (weights, biases, activations) an FHNN byte string describes, or None.
+
+    Read with struct: magic b"FHNN", then little-endian u32 version 1,
+    L >= 1 layers and input width >= 1; then L u32 pairs (output width
+    >= 1, activation 0 identity, 1 relu or 2 tanh), the last activation
+    identity; then per layer its out x in weights, row by row, and its
+    out biases as little-endian f64, every one finite, and no byte more.
+    """
+    if len(data) < 16 or data[:4] != b"FHNN":
+        return None
+    version, layers, fan_in = struct.unpack("<3I", data[4:16])
+    at = 16 + 8 * layers
+    if version != 1 or layers < 1 or fan_in < 1 or len(data) < at:
+        return None
+    table = [struct.unpack("<2I", data[16 + 8 * i:24 + 8 * i]) for i in range(layers)]
+    names = {0: "identity", 1: "relu", 2: "tanh"}
+    if any(out < 1 or act not in names for out, act in table) or table[-1][1] != 0:
+        return None
+    widths = [fan_in] + [out for out, _ in table]
+    if len(data) != at + sum(8 * out * (inp + 1) for inp, out in zip(widths, widths[1:])):
+        return None
+    weights, biases = [], []
+    for inp, out in zip(widths, widths[1:]):
+        values = struct.unpack(f"<{out * (inp + 1)}d", data[at:at + 8 * out * (inp + 1)])
+        if not all(math.isfinite(v) for v in values):
+            return None
+        weights.append(np.array(values[:out * inp]).reshape(out, inp))
+        biases.append(np.array(values[out * inp:]))
+        at += 8 * out * (inp + 1)
+    return weights, biases, [names[act] for _, act in table]

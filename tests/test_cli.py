@@ -333,8 +333,11 @@ class TestEncodeIndexQuery:
         ("inf-bias", np.zeros((4, 3)), "non-finite parameters at layer 0"),
         ("valid", np.zeros((0, 3)), "empty feature table"),
         ("valid", np.zeros((4, 0)), "empty feature table"),
+        ("trailing-bytes", np.zeros((4, 3)), "3 bytes after the last layer"),
+        ("relu-last", np.zeros((4, 3)), "last layer's activation is relu, not identity"),
     ], ids=["dim-mismatch", "no-layers", "zero-input-width", "zero-output-width",
-            "nan-weight", "inf-bias", "zero-dim-features", "zero-item-features"])
+            "nan-weight", "inf-bias", "zero-dim-features", "zero-item-features",
+            "trailing-bytes", "relu-last"])
     def test_unusable_checkpoint_or_features_exit_3(self, tmp_path, capsys, checkpoint,
                                                     features, message):
         path = tmp_path / "enc.fhnn"
@@ -350,7 +353,10 @@ class TestEncodeIndexQuery:
                 w[1, 2] = np.nan
             if checkpoint == "inf-bias":
                 b[0] = np.inf
-            save_checkpoint(EncoderState([w], [b], ["identity"]), path)
+            last = "relu" if checkpoint == "relu-last" else "identity"
+            save_checkpoint(EncoderState([w], [b], [last]), path)
+        if checkpoint == "trailing-bytes":
+            path.write_bytes(path.read_bytes() + bytes(3))
         write_features(tmp_path / "x.fhft", features)
         code = run_cli("encode", "--checkpoint", str(path),
                        "--features", str(tmp_path / "x.fhft"), "--out", str(tmp_path / "o"))
@@ -555,6 +561,38 @@ class TestThreadsFlag:
         assert not (tmp_path / "o").exists()
 
 
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("flag", [["--config", "cfg.json"], ["--seed", "9"]],
+                             ids=["config", "seed"])
+    @pytest.mark.parametrize("command", ["encode", "index", "query", "eval", "curves"])
+    def test_config_or_seed_where_not_read_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                   command, flag):
+        # Only train reads --seed, and only train and ablate read --config.
+        monkeypatch.chdir(tmp_path)
+        write_eval_fixture(tmp_path)
+        write_train_config(tmp_path / "cfg.json")
+        save_checkpoint(init_state(EncoderSpec(input_dim=4, output_dim=2)), tmp_path / "enc.fhnn")
+        write_features(tmp_path / "x.fhft", np.zeros((4, 3)))
+        assert run_cli("index", "--codes", "db.fhsh", "--labels", "db_labels.txt",
+                       "--classes", "3", "--out", "index") == 0
+        argv = {
+            "encode": ["--checkpoint", "enc.fhnn", "--features", "x.fhft"],
+            "index": ["--codes", "db.fhsh", "--labels", "db_labels.txt", "--classes", "3"],
+            "query": ["--index", "index", "--queries", "q.fhsh", "--k", "2"],
+            "eval": ["--db-codes", "db.fhsh", "--db-labels", "db_labels.txt",
+                     "--query-codes", "q.fhsh", "--query-labels", "q_labels.txt",
+                     "--classes", "3", "--ks", "1,5"],
+            "curves": ["--points", "5"],
+        }[command]
+        assert run_cli(command, *argv, "--out", "ok") == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *argv, *flag, "--out", "o")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestEvalCommand:
     def test_fixture_metrics_match_goldens(self, tmp_path):
         write_eval_fixture(tmp_path)
@@ -669,6 +707,15 @@ class TestAblateCommand:
         assert run_cli("ablate", "--config", str(cfg_path), "--out", str(out)) == 2
         assert "error (config): ablate." in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_non_object_hyper_section_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        self.ablate_config(cfg_path, seeds=[0])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["hyper"] = [4]
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        assert "config section 'hyper' must be an object" in capsys.readouterr().err
 
     def test_full_table_shape(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +21,7 @@ from fisherhash.datasets import (
 )
 from fisherhash.exceptions import DataError
 
-from oracles import reference_load_labels
+from oracles import reference_decode_features, reference_load_labels
 
 
 class TestFeatureFile:
@@ -57,6 +60,79 @@ class TestFeatureFile:
         path.write_bytes(b"XXXX" + bytes(12))
         with pytest.raises(DataError, match="not a feature file"):
             load_features(path)
+
+
+
+def fhft_bytes(x):
+    """The bytes `write_features` writes for a dim x N float32 table."""
+    return b"FHFT" + struct.pack("<3I", 1, *x.shape) + x.T.astype("<f4").tobytes()
+
+
+@st.composite
+def feature_tables(draw):
+    """1 to 4 dims, 1 to 5 items, float32 values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(draw(st.integers(1, 4)), draw(st.integers(1, 5)))).astype(np.float32)
+
+
+class TestFeatureLoaderFuzz:
+    """Damaged FHFT files load as the table they describe or raise DataError."""
+
+    @staticmethod
+    def load_or_data_error(path, data):
+        path.write_bytes(data)
+        try:
+            return load_features(path)
+        except DataError:
+            return None
+
+    def assert_loads_as_described(self, path, data):
+        loaded = self.load_or_data_error(path, data)
+        want = reference_decode_features(data)
+        if want is None:
+            assert loaded is None
+        else:
+            assert np.array_equal(loaded, want)
+
+    @given(feature_tables())
+    @settings(max_examples=30, deadline=None)
+    def test_truncation_at_every_length(self, tmp_path_factory, x):
+        data = fhft_bytes(x)
+        path = tmp_path_factory.mktemp("fhft") / "t.fhft"
+        write_features(path, x)
+        assert path.read_bytes() == data
+        assert np.array_equal(self.load_or_data_error(path, data), x)
+        for length in range(len(data)):
+            assert self.load_or_data_error(path, data[:length]) is None, length
+
+    @given(feature_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_byte_flip(self, tmp_path_factory, x, data):
+        flipped = bytearray(fhft_bytes(x))
+        flipped[data.draw(st.integers(0, len(flipped) - 1))] ^= data.draw(st.integers(1, 255))
+        self.assert_loads_as_described(tmp_path_factory.mktemp("fhft") / "f.fhft", bytes(flipped))
+
+    @given(feature_tables(), st.sampled_from(["version", "dim", "N"]),
+           st.sampled_from([0, 1, 2**32 - 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_header_field_set_to_an_extreme(self, tmp_path_factory, x, field, value):
+        raw = fhft_bytes(x)
+        at = 4 + 4 * ["version", "dim", "N"].index(field)
+        data = raw[:at] + value.to_bytes(4, "little") + raw[at + 4:]
+        self.assert_loads_as_described(tmp_path_factory.mktemp("fhft") / "h.fhft", data)
+
+    @pytest.mark.parametrize("dim, n", [(2**32 - 1, 1), (4, 2**32 - 1), (2**32 - 1, 2**32 - 1)])
+    def test_claimed_sizes_are_checked_before_allocating(self, tmp_path, dim, n):
+        path = tmp_path / "huge.fhft"
+        path.write_bytes(b"FHFT" + struct.pack("<3I", 1, dim, n) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="expected"):
+                load_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLabelFile:

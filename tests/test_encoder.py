@@ -1,5 +1,10 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisherhash.encoder import (
     SGD,
@@ -11,7 +16,9 @@ from fisherhash.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from fisherhash.exceptions import NumericalError
+from fisherhash.exceptions import DataError, NumericalError
+
+from oracles import reference_decode_checkpoint
 
 
 def probe_loss(state, x):
@@ -203,3 +210,103 @@ class TestStateAndCheckpoint:
             np.testing.assert_array_equal(a, b)
         x = np.random.default_rng(3).normal(size=(6, 5))
         np.testing.assert_array_equal(forward(loaded, x)[0], forward(state, x)[0])
+
+
+_ACT_CODE = {"identity": 0, "relu": 1, "tanh": 2}
+
+
+def fhnn_bytes(state):
+    """The bytes `save_checkpoint` writes for a state."""
+    data = b"FHNN" + struct.pack("<3I", 1, len(state.weights), state.input_dim)
+    for w, act in zip(state.weights, state.activations):
+        data += struct.pack("<2I", w.shape[0], _ACT_CODE[act])
+    for w, b in zip(state.weights, state.biases):
+        data += struct.pack(f"<{w.size + b.size}d", *w.ravel().tolist(), *b.tolist())
+    return data
+
+
+@st.composite
+def encoder_states(draw):
+    """0 to 2 hidden layers, every width 1 to 4, nonzero biases."""
+    hidden = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(sorted(_ACT_CODE))),
+                           max_size=2))
+    spec = EncoderSpec(input_dim=draw(st.integers(1, 4)), output_dim=draw(st.integers(1, 4)),
+                       hidden_layers=tuple(hidden), seed=draw(st.integers(0, 2**32 - 1)))
+    state = init_state(spec)
+    rng = np.random.default_rng(spec.seed)
+    state.biases = [rng.normal(size=b.shape) for b in state.biases]
+    return state
+
+
+class TestCheckpointLoaderFuzz:
+    """Damaged FHNN files load as the state they describe or raise DataError."""
+
+    @staticmethod
+    def load_or_data_error(path, data):
+        path.write_bytes(data)
+        try:
+            return load_checkpoint(path)
+        except DataError:
+            return None
+
+    @staticmethod
+    def same_state(loaded, weights, biases, activations):
+        return (loaded.activations == activations
+                and len(loaded.weights) == len(weights)
+                and all(np.array_equal(a, b) for a, b in zip(loaded.weights, weights))
+                and all(np.array_equal(a, b) for a, b in zip(loaded.biases, biases)))
+
+    def assert_loads_as_described(self, path, data):
+        loaded = self.load_or_data_error(path, data)
+        want = reference_decode_checkpoint(data)
+        if want is None:
+            assert loaded is None
+        else:
+            assert self.same_state(loaded, *want)
+
+    @given(encoder_states())
+    @settings(max_examples=30, deadline=None)
+    def test_truncation_at_every_length(self, tmp_path_factory, state):
+        data = fhnn_bytes(state)
+        path = tmp_path_factory.mktemp("fhnn") / "t.fhnn"
+        save_checkpoint(state, path)
+        assert path.read_bytes() == data
+        loaded = self.load_or_data_error(path, data)
+        assert self.same_state(loaded, state.weights, state.biases, state.activations)
+        for length in range(len(data)):
+            assert self.load_or_data_error(path, data[:length]) is None, length
+
+    @given(encoder_states(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_byte_flip(self, tmp_path_factory, state, data):
+        flipped = bytearray(fhnn_bytes(state))
+        flipped[data.draw(st.integers(0, len(flipped) - 1))] ^= data.draw(st.integers(1, 255))
+        self.assert_loads_as_described(tmp_path_factory.mktemp("fhnn") / "f.fhnn", bytes(flipped))
+
+    @given(encoder_states(), st.sampled_from(["version", "layers", "input width",
+                                              "layer 0 width", "layer 0 activation"]),
+           st.sampled_from([0, 1, 2**32 - 1]))
+    @settings(max_examples=100, deadline=None)
+    def test_header_field_set_to_an_extreme(self, tmp_path_factory, state, field, value):
+        raw = fhnn_bytes(state)
+        at = 4 + 4 * ["version", "layers", "input width",
+                      "layer 0 width", "layer 0 activation"].index(field)
+        data = raw[:at] + value.to_bytes(4, "little") + raw[at + 4:]
+        self.assert_loads_as_described(tmp_path_factory.mktemp("fhnn") / "h.fhnn", data)
+
+    @pytest.mark.parametrize("head", [
+        [1, 2**32 - 1, 4],
+        [1, 1, 2**32 - 1, 2**32 - 1, 0],
+        [1, 1, 4, 2**32 - 1, 0],
+    ], ids=["layers", "both-widths", "output-width"])
+    def test_claimed_sizes_are_checked_before_allocating(self, tmp_path, head):
+        path = tmp_path / "huge.fhnn"
+        path.write_bytes(b"FHNN" + struct.pack(f"<{len(head)}I", *head) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
