@@ -27,7 +27,7 @@ from .datasets import (
     load_labels,
     load_manifest,
     make_synthetic,
-    read_text,
+    read_json,
     write_json,
     write_labels,
 )
@@ -66,13 +66,9 @@ def _load_config_file(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        payload = json.loads(read_text(p))
-    except DataError as exc:  # a directory, or not UTF-8
+        payload = read_json(p, "top-level config")
+    except DataError as exc:
         raise ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{p}: top-level config must be an object")
     _check_keys(payload, "")
     return payload
 
@@ -140,7 +136,9 @@ def _output(args, payload: dict):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
+def _build_dataset(cfg: dict, base_dir: Path, seed_offset: int | None = None) -> Dataset:
+    """The config's dataset.  A seed_offset is added to the synthetic seed
+    (0 if absent), so each ablation run draws its own blobs."""
     spec = _section(cfg, "dataset")
     if not spec:
         raise ConfigError("config needs a 'dataset' section")
@@ -159,7 +157,8 @@ def _build_dataset(cfg: dict, base_dir: Path) -> Dataset:
                 per_class=int(syn["per_class"]),
                 dim=int(syn["dim"]),
                 separation=float(syn["separation"]),
-                seed=int(syn["seed"]),
+                seed=int(syn["seed"]) if seed_offset is None
+                else int(syn.get("seed", 0)) + seed_offset,
                 query_fraction=float(syn.get("query_fraction", 0.1)),
             )
         except KeyError as exc:
@@ -261,13 +260,9 @@ def _load_index(path) -> tuple[BinaryCodeMatrix, list, int]:
     meta_path = idx_dir / "index.json"
     if not meta_path.exists():
         raise DataError(f"not an index directory (missing index.json): {idx_dir}")
-    try:
-        meta = json.loads(read_text(meta_path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: invalid JSON: {exc}") from exc
-    classes = meta.get("classes") if isinstance(meta, dict) else None
+    classes = read_json(meta_path, "index metadata").get("classes")
     if type(classes) is not int:
-        raise DataError(f"{meta_path}: must be a JSON object with an integer 'classes' field")
+        raise DataError(f"{meta_path}: needs an integer 'classes' field")
     codes = BinaryCodeMatrix.load(idx_dir / "codes.fhsh")
     label_sets = load_labels(idx_dir / "labels.txt", num_classes=classes, n_items=codes.n)
     return codes, label_sets, classes
@@ -279,12 +274,10 @@ def _load_index(path) -> tuple[BinaryCodeMatrix, list, int]:
 def cmd_query(args) -> int:
     db_codes, _, _ = _load_index(args.index)
     queries = BinaryCodeMatrix.load(args.queries)
-    if args.k < 1 or args.k > db_codes.n:
-        raise ConfigError(f"--k must be in [1, {db_codes.n}], got {args.k}")
-    results = search(queries, db_codes, k=args.k)
     payload = {"command": "query", "index": str(args.index),
                "queries": str(args.queries), "k": args.k}
     with _output(args, payload) as (stage, _):
+        results = search(queries, db_codes, k=args.k)
         lines = [
             f"{res.query},{rank},{item},{dist}\n"
             for res in results
@@ -371,14 +364,9 @@ def cmd_ablate(args) -> int:
         rows = []
         for variant in variants:
             for seed in seeds:
-                run_cfg = json.loads(json.dumps(cfg))  # deep copy
-                syn = run_cfg.get("dataset", {}).get("synthetic")
-                if syn is not None:
-                    # fresh draw per run: each seed sees its own blobs
-                    syn["seed"] = int(syn.get("seed", 0)) + seed
-                dataset = _build_dataset(run_cfg, base_dir)
-                hp = _build_hyper(run_cfg, seed).ablation(variant)
-                spec = _build_encoder_spec(run_cfg, dataset, hp)
+                dataset = _build_dataset(cfg, base_dir, seed_offset=seed)
+                hp = _build_hyper(cfg, seed).ablation(variant)
+                spec = _build_encoder_spec(cfg, dataset, hp)
                 run_dir = stage / f"{variant.replace('+', '_')}_seed{seed}"
                 train(dataset, hp, spec, out_dir=run_dir, config_hash=chash)
                 score = _eval_split_map(run_dir, dataset)

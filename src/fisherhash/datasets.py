@@ -180,6 +180,21 @@ def read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def read_json(path, what: str) -> dict:
+    """A file's JSON object, named `what` in errors.
+
+    Invalid JSON, a value other than an object, or any `read_text` error
+    is a DataError; a missing file still raises FileNotFoundError.
+    """
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: {what} must be a JSON object")
+    return payload
+
+
 def load_labels(path, num_classes: int, n_items: int) -> list:
     """Parse a label file into per-item label sets (frozensets of class ids).
 
@@ -256,28 +271,20 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: manifest must be a JSON object")
+    """Read a manifest; its file paths must be strings and its sizes integers."""
+    payload = read_json(path, "manifest")
     if not isinstance(payload.get("splits", {}), dict):
         raise DataError(f"{path}: manifest 'splits' must be a JSON object")
-    try:
-        return DatasetManifest(
-            name=payload["name"],
-            feature_path=payload["feature_path"],
-            label_path=payload["label_path"],
-            input_dim=int(payload["input_dim"]),
-            n_items=int(payload["n_items"]),
-            num_classes=int(payload["num_classes"]),
-            splits=payload.get("splits", {}),
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: manifest missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad manifest field: {exc}") from exc
+    kinds = {"feature_path": str, "label_path": str, "input_dim": int, "n_items": int,
+             "num_classes": int}
+    for key in ("name", *kinds):
+        if key not in payload:
+            raise DataError(f"{path}: manifest missing key {key!r}")
+        if key in kinds and type(payload[key]) is not kinds[key]:
+            raise DataError(f"{path}: manifest field {key!r} must be {kinds[key].__name__}, "
+                            f"got {payload[key]!r}")
+    return DatasetManifest(**{k: payload[k] for k in ("name", *kinds)},
+                           splits=payload.get("splits", {}))
 
 
 def load_dataset(manifest: DatasetManifest, base_dir=None) -> Dataset:

@@ -98,8 +98,6 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _activation_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(z)
     if name == "relu":
         return (z > 0).astype(np.float64)
     return 1.0 - out * out
@@ -124,8 +122,7 @@ def forward(state: EncoderState, x: np.ndarray):
         z = w @ a + b[:, None]
         pre.append(z)
         a = _apply_activation(act, z)
-    cache = {"inputs": inputs, "pre": pre, "out": a}
-    return a, cache
+    return a, {"inputs": inputs, "pre": pre}
 
 
 def backward(state: EncoderState, cache, dl_du: np.ndarray):
@@ -148,8 +145,8 @@ def backward(state: EncoderState, cache, dl_du: np.ndarray):
     for layer in range(len(state.weights) - 1, -1, -1):
         act = state.activations[layer]
         if act != "identity":
-            out = _apply_activation(act, pre[layer])
-            delta = delta * _activation_grad(act, pre[layer], out)
+            # A hidden layer's output is the next layer's input.
+            delta = delta * _activation_grad(act, pre[layer], inputs[layer + 1])
         weight_grads[layer] = delta @ inputs[layer].T
         bias_grads[layer] = delta.sum(axis=1)
         delta = state.weights[layer].T @ delta

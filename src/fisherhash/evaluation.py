@@ -4,10 +4,11 @@ Queries are measured (XOR + popcount) against the distinct database
 codes only, one block of queries at a time on one thread; every item of
 a code shares its distance.  Ranking ties at equal distance break by
 ascending database index, so results are deterministic and
-oracle-comparable.  `search` picks each query's top k from the code
-distances and the code counts.  `metrics_report` builds each full
-ranking's relevance per distance bucket, and ranks the items only of a
-row where one bucket holds both relevant and irrelevant items.
+oracle-comparable.  Both rankings read one stream of per-query rows of
+code distances.  `search` picks each query's top k from its row and
+the code counts.  `metrics_report` builds each full ranking's
+relevance per distance bucket, and ranks the items only of a row where
+one bucket holds both relevant and irrelevant items.
 Metrics: MAP@k, precision and recall at N, and a precision/recall
 sweep over Hamming radius, accumulated one query at a time from that
 query's ranked relevance and its running hit count.
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .binary_codes import BinaryCodeMatrix, CodeGroups, hamming_cross
-from .datasets import distinct_label_sets, write_json
+from .datasets import distinct_label_sets
 
 # Upper bound on the scratch distance block, in entries.
 _BLOCK_ENTRIES = 4_000_000
@@ -37,19 +38,18 @@ class RankedResult:
     distances: np.ndarray
 
 
-def _ranked_blocks(queries: BinaryCodeMatrix, database: BinaryCodeMatrix):
-    """Distances to the distinct database codes, one block of queries at a time.
+def _code_distances(queries: BinaryCodeMatrix, database: BinaryCodeMatrix):
+    """Each query's row of distances to database.groups().codes, in query order.
 
-    Yields (start, dist): the distances of queries start, start + 1, ...
-    to database.groups().codes, as small unsigned ints, from which both
-    rankings are made.  Blocks are sized as if every item were measured,
-    so the block size does not depend on how often codes repeat.
+    A row holds small unsigned ints, from which both rankings are made.
+    Queries are measured one block at a time, and blocks are sized as if
+    every item were measured, so the block size does not depend on how
+    often codes repeat.
     """
     codes = database.groups().codes
-    n_q = queries.n
     block = max(1, _BLOCK_ENTRIES // database.n)
-    for start in range(0, n_q, block):
-        yield start, hamming_cross(queries.take(range(start, min(start + block, n_q))), codes)
+    for start in range(0, queries.n, block):
+        yield from hamming_cross(queries.take(range(start, min(start + block, queries.n))), codes)
 
 
 def _top_k(code_dist: np.ndarray, groups: CodeGroups, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,11 +87,8 @@ def search(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int) -> lis
     if not 1 <= k <= database.n:
         raise ValueError(f"k must be in [1, {database.n}], got {k}")
     groups = database.groups()
-    return [
-        RankedResult(start + i, *_top_k(row, groups, k))
-        for start, dist in _ranked_blocks(queries, database)
-        for i, row in enumerate(dist)
-    ]
+    return [RankedResult(q, *_top_k(row, groups, k))
+            for q, row in enumerate(_code_distances(queries, database))]
 
 
 def average_precision(flags, r_total: int) -> float:
@@ -158,22 +155,22 @@ def metrics_report(
     Queries with no relevant database item are excluded from MAP and
     recall averages (their precision is still counted).  Queries with
     equal code words and an equal label set form one pattern, and only
-    each pattern's first occurrence is ranked, streamed one block of
-    patterns at a time.  Each block is measured against the distinct
-    database codes only.  A ranking lists the items by distance, ties by
-    ascending index, so it is a run of distance buckets, nearest first.
-    Count-weighted bincounts give each bucket's items, from the code
-    counts, and its relevant items, from the distinct (code, database
-    label set) pairs.  Where every bucket is all relevant or all
-    irrelevant, the ranked relevance is each bucket's flag repeated
-    over its items, and no item order is built.  Where one bucket mixes
-    the two, that row alone takes its code distances out to the items
-    and stable-argsorts them.  A pattern's row is scored once: one
-    integer running count of hits gives P@N, R@N and the hits within
-    every Hamming radius.  A row is kept for the pattern's later
-    occurrences only, until its last.  Memory is O(block x distinct
-    codes) for the code distances and the relevant pairs of each query
-    label set in the block, plus O(n_db) per scored row.
+    each pattern's first occurrence is ranked, from its row of distances
+    to the distinct database codes.  A ranking lists the items by
+    distance, ties by ascending index, so it is a run of distance
+    buckets, nearest first.  Count-weighted bincounts give each bucket's
+    items, from the code counts, and its relevant items, from the item
+    counts of the distinct (code, database label set) pairs, each
+    weighted by whether its label set meets the query's.  Where every
+    bucket is all relevant or all irrelevant, the ranked relevance is
+    each bucket's flag repeated over its items, and no item order is
+    built.  Where one bucket mixes the two, that row alone takes its
+    code distances out to the items and stable-argsorts them.  A
+    pattern's row is scored once: one integer running count of hits
+    gives P@N, R@N and the hits within every Hamming radius.  A row is
+    kept for the pattern's later occurrences only, until its last.
+    Memory is O(block x distinct codes) for the code distances, plus
+    O(n_db) per scored row.
     Per-query sums are taken in query order, so every mean equals the
     one over the whole n_q x n_db matrices.
     Raises ValueError for a class id outside [0, num_classes).
@@ -209,19 +206,7 @@ def metrics_report(
     pattern = pattern.ravel()
     ranked = np.sort(first)
 
-    def ranked_rows():
-        # Each ranked row, with the codes that hold items relevant to
-        # its query label set and their relevant item counts, picked
-        # once per label set in a block.
-        for start, dist in _ranked_blocks(queries.take(ranked), database):
-            relevant = {}
-            for row, s in zip(dist, q_pid[ranked[start:start + len(dist)]]):
-                if s not in relevant:
-                    pick = table[s].take(pair_set)
-                    relevant[s] = pair_code[pick], pair_counts[pick]
-                yield row, relevant[s]
-
-    rows = ranked_rows()
+    rows = _code_distances(queries.take(ranked), database)
     cached = {}
 
     hits_at_1 = np.zeros(n_q)
@@ -239,11 +224,12 @@ def metrics_report(
         p = pattern[q]
         r_total = r_totals[q]
         if first[p] == q:
-            dist_row, (rel_codes, rel_counts) = next(rows)
+            dist_row = next(rows)
             # The ranking is sorted by distance: bucket r, the items at
             # distance r, follows every nearer bucket.
             size = np.bincount(dist_row, groups.counts, minlength=k_bits + 1)
-            relc = np.bincount(dist_row.take(rel_codes), rel_counts, minlength=k_bits + 1)
+            relc = np.bincount(dist_row.take(pair_code),
+                               pair_counts * table[q_pid[q]].take(pair_set), minlength=k_bits + 1)
             if ((relc > 0) & (relc < size)).any():
                 # A bucket mixes relevant and irrelevant items: rank the
                 # items, ties by ascending index.
@@ -340,12 +326,14 @@ _JSON_ROWS = {
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:
-    """Write report.json in `write_json`'s layout.
+    """Write report.json indented and key-sorted, as every JSON artifact is.
 
     The header goes through json.dumps with a placeholder per row table,
     and the rows are formatted with float repr, as json formats finite
-    floats.  json writes NaN and Infinity where repr gives nan and inf,
-    so a table with a non-finite value goes through json.dumps whole.
+    floats.  json writes NaN and Infinity where repr gives nan and inf;
+    neither string occurs in a row's keys (n, precision, recall, radius)
+    or in the repr of a finite float, so they are replaced in the rows'
+    text.
     """
     header = {
         "config_hash": report.config_hash,
@@ -354,18 +342,10 @@ def write_metrics_json(report: MetricsReport, path) -> None:
         "map": {str(k): v for k, v in report.map_at.items()},
     }
     tables = {"top_n": report.top_n, "pr_radius": report.pr_radius}
-    if not all(np.isfinite(t).all() for t in tables.values()):
-        write_json(path, {
-            "top_n": [{"n": int(n), "precision": p, "recall": r} for n, p, r in report.top_n],
-            "pr_radius": [{"radius": int(r), "precision": p, "recall": rc}
-                          for r, p, rc in report.pr_radius],
-            **header,
-        })
-        return
     text = json.dumps({**header, **{k: "\0" + k for k in tables}}, indent=2, sort_keys=True)
     for key, table in tables.items():
         row, columns = _JSON_ROWS[key]
-        rows = [row % tuple(r) for r in table[:, columns].tolist()]
-        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        text = text.replace(json.dumps("\0" + key), body, 1)
+        body = ",\n".join([row % tuple(r) for r in table[:, columns].tolist()])
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        text = text.replace(json.dumps("\0" + key), f"[\n{body}\n  ]" if body else "[]", 1)
     Path(path).write_text(text + "\n", encoding="utf-8")

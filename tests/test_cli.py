@@ -176,8 +176,13 @@ class TestTrainCommand:
         (lambda m: {**m, "splits": "x"}, 3),
         (lambda m: {**m, "splits": {"train": 3}}, 3),
         (lambda m: {**m, "splits": {**m["splits"], "train": [0.5, 1.5, 2.5]}}, 3),
+        (lambda m: {**m, "input_dim": float("inf")}, 3),
+        (lambda m: {**m, "input_dim": 4.5}, 3),
+        (lambda m: {**m, "feature_path": 5}, 3),
+        (lambda m: {**m, "label_path": [1]}, 3),
     ], ids=["intact", "text-input-dim", "list-manifest", "text-split", "null-n-items",
-            "text-splits", "scalar-split", "fractional-split"])
+            "text-splits", "scalar-split", "fractional-split", "infinite-input-dim",
+            "fractional-input-dim", "number-feature-path", "list-label-path"])
     def test_corrupt_manifest_field_exits_3(self, tmp_path, capsys, corrupt, code):
         rng = np.random.default_rng(0)
         write_features(tmp_path / "x.fhft", rng.normal(size=(4, 8)))
@@ -716,6 +721,22 @@ class TestAblateCommand:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
         assert "config section 'hyper' must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(dataset=[1]), "config section 'dataset' must be an object"),
+        (lambda cfg: cfg["dataset"].update(synthetic=[1]),
+         "config section 'synthetic' must be an object"),
+        (lambda cfg: cfg["dataset"]["synthetic"].update(seed=[1]), "bad synthetic dataset spec"),
+    ], ids=["list-dataset", "list-synthetic", "list-synthetic-seed"])
+    def test_malformed_dataset_section_exits_2(self, tmp_path, capsys, edit, message):
+        # train exits 2 on each of these configs; ablate must too.
+        cfg_path = tmp_path / "cfg.json"
+        self.ablate_config(cfg_path, seeds=[0])
+        cfg = json.loads(cfg_path.read_text())
+        edit(cfg)
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
 
     def test_full_table_shape(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
