@@ -209,6 +209,11 @@ def unpack(code: BinaryCodeMatrix) -> np.ndarray:
     return code.dense()[:, 0]
 
 
+def dense_signs(b) -> np.ndarray:
+    """A code table, or an array of -1/+1 entries, as a K x N float64 array."""
+    return b.dense(np.float64) if isinstance(b, BinaryCodeMatrix) else np.asarray(b, dtype=np.float64)
+
+
 def _require_same_k(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> None:
     if a.K != b.K:
         raise ValueError(f"code length mismatch: {a.K} vs {b.K}")

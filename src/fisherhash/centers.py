@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_codes import BinaryCodeMatrix
+from .binary_codes import BinaryCodeMatrix, dense_signs
 from .exceptions import NumericalError
 
 
@@ -81,13 +81,9 @@ def target_matrix(k: int, m: int) -> np.ndarray:
     return k * (2.0 * np.eye(m) - np.ones((m, m)))
 
 
-def _dense(b) -> np.ndarray:
-    return b.dense(np.float64) if isinstance(b, BinaryCodeMatrix) else np.asarray(b, dtype=np.float64)
-
-
 def intra_loss(b, c, y: np.ndarray) -> float:
     """Sum over items of ||b_i - C y_i||^2: codes near their centers."""
-    bd, cd = _dense(b), _dense(c)
+    bd, cd = dense_signs(b), dense_signs(c)
     y = np.asarray(y, dtype=np.float64)
     if cd.shape != (bd.shape[0], y.shape[0]) or y.shape[1] != bd.shape[1]:
         raise ValueError(
@@ -98,7 +94,7 @@ def intra_loss(b, c, y: np.ndarray) -> float:
 
 def inter_loss(c_or_v, a: np.ndarray) -> float:
     """||C^T C - A||_F^2: squared Gram distance to the separation target."""
-    cd = _dense(c_or_v)
+    cd = dense_signs(c_or_v)
     a = np.asarray(a, dtype=np.float64)
     m = cd.shape[1]
     if a.shape != (m, m):
@@ -108,7 +104,7 @@ def inter_loss(c_or_v, a: np.ndarray) -> float:
 
 def quant_loss(b, u: np.ndarray) -> float:
     """Sum over items of ||b_i - u_i||^2: total quantization cost."""
-    bd = _dense(b)
+    bd = dense_signs(b)
     u = np.asarray(u, dtype=np.float64)
     if bd.shape != u.shape:
         raise ValueError(f"shape mismatch: codes {bd.shape} vs representations {u.shape}")
@@ -122,7 +118,7 @@ def center_gradient(v, b, y, a, mu: float, nu: float, eta: float) -> np.ndarray:
         2 mu (V Y - B) Y^T + 4 nu V (V^T V - A) + 2 eta (V - sgn(V)).
     """
     v = np.asarray(v, dtype=np.float64)
-    bd = _dense(b)
+    bd = dense_signs(b)
     y = np.asarray(y, dtype=np.float64)
     return (
         2.0 * mu * (v @ y - bd) @ y.T
@@ -142,7 +138,7 @@ def update_centers(
     within it.  Returns the new V and C = sgn(V).
     """
     v = np.asarray(v, dtype=np.float64).copy()
-    bd = _dense(b)
+    bd = dense_signs(b)
     y = check_label_matrix(y)
     k, m = v.shape
     if bd.shape[0] != k or y.shape != (m, bd.shape[1]):
@@ -172,7 +168,7 @@ def update_codes(u: np.ndarray, c, y: np.ndarray, mu: float) -> BinaryCodeMatrix
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     u = np.asarray(u, dtype=np.float64)
-    cd = _dense(c)
+    cd = dense_signs(c)
     y = np.asarray(y, dtype=np.float64)
     if cd.shape != (u.shape[0], y.shape[0]) or y.shape[1] != u.shape[1]:
         raise ValueError(

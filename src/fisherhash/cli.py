@@ -23,6 +23,7 @@ import numpy as np
 from .binary_codes import BinaryCodeMatrix
 from .datasets import (
     Dataset,
+    check_number,
     load_dataset,
     load_labels,
     load_manifest,
@@ -34,20 +35,20 @@ from .datasets import (
 from .encoder import EncoderSpec, forward, load_checkpoint
 from .evaluation import metrics_report, search, write_metrics_csv, write_metrics_json
 from .exceptions import ConfigError, DataError, NumericalError
-from .training import HyperParams, train, write_loss_curves
+from .training import ABLATIONS, HyperParams, train, write_loss_curves
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-ABLATION_VARIANTS = ("pair", "pair+intra", "full")
-
 # The keys each config section may hold; any other key is a ConfigError.
 _CONFIG_KEYS = {
     "": {"dataset", "hyper", "encoder", "ablate"},
     "dataset": {"manifest", "synthetic"},
-    "synthetic": {"classes", "per_class", "dim", "separation", "seed", "query_fraction"},
+    # make_synthetic's arguments and their kinds (see check_number)
+    "synthetic": {"classes": "int", "per_class": "int", "dim": "int", "separation": "float",
+                  "seed": "int", "query_fraction": "float"},
     "hyper": {f.name for f in fields(HyperParams)},
     "encoder": {"hidden_layers", "seed"},
     "ablate": {"seeds", "variants"},
@@ -59,9 +60,8 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
+def _load_config_file(path) -> tuple[dict, Path]:
+    """The --config file's object, checked for unknown top-level keys, and its directory."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -70,11 +70,11 @@ def _load_config_file(path) -> dict:
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
     _check_keys(payload, "")
-    return payload
+    return payload, p.parent
 
 
 def _check_keys(section: dict, name: str) -> None:
-    unknown = sorted(set(section) - _CONFIG_KEYS[name])
+    unknown = sorted(set(section).difference(_CONFIG_KEYS[name]))
     if unknown:
         raise ConfigError(f"unknown key(s) in {name or 'top-level'} config: {', '.join(unknown)}")
 
@@ -150,17 +150,12 @@ def _build_dataset(cfg: dict, base_dir: Path, seed_offset: int | None = None) ->
             raise DataError(f"dataset manifest not found: {manifest_path}") from exc
         return load_dataset(manifest, base_dir=manifest_path.parent)
     if "synthetic" in spec:
-        syn = _section(spec, "synthetic")
+        defaults = {"query_fraction": 0.1, **({} if seed_offset is None else {"seed": 0})}
+        syn = {**defaults, **_section(spec, "synthetic")}
         try:
-            return make_synthetic(
-                classes=int(syn["classes"]),
-                per_class=int(syn["per_class"]),
-                dim=int(syn["dim"]),
-                separation=float(syn["separation"]),
-                seed=int(syn["seed"]) if seed_offset is None
-                else int(syn.get("seed", 0)) + seed_offset,
-                query_fraction=float(syn.get("query_fraction", 0.1)),
-            )
+            args = {key: check_number(key, syn[key], kind)
+                    for key, kind in _CONFIG_KEYS["synthetic"].items()}
+            return make_synthetic(**{**args, "seed": args["seed"] + (seed_offset or 0)})
         except KeyError as exc:
             raise ConfigError(f"synthetic dataset spec missing key {exc}") from exc
         except (ValueError, TypeError) as exc:
@@ -186,15 +181,19 @@ def _build_encoder_spec(cfg: dict, dataset: Dataset, hp: HyperParams) -> Encoder
         return EncoderSpec(
             input_dim=dataset.input_dim,
             output_dim=hp.bits,
-            hidden_layers=tuple((int(w), str(a)) for w, a in enc.get("hidden_layers", [])),
-            seed=int(enc.get("seed", hp.seed)),
+            hidden_layers=tuple((check_number("hidden layer width", w, "int"), str(a))
+                                for w, a in enc.get("hidden_layers", [])),
+            seed=check_number("encoder seed", enc.get("seed", hp.seed), "int"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad encoder section: {exc}") from exc
 
 
 def _encode_features(state, features: np.ndarray) -> BinaryCodeMatrix:
-    u, _ = forward(state, features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, _ = forward(state, features)
+    if not np.isfinite(u).all():
+        raise NumericalError("encoder output is not finite: the forward pass overflowed")
     return BinaryCodeMatrix.from_values(u)
 
 
@@ -202,8 +201,7 @@ def _encode_features(state, features: np.ndarray) -> BinaryCodeMatrix:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    base_dir = Path(args.config).parent if args.config else Path(".")
+    cfg, base_dir = _load_config_file(args.config)
     dataset = _build_dataset(cfg, base_dir)
     hp = _build_hyper(cfg, args.seed)
     spec = _build_encoder_spec(cfg, dataset, hp)
@@ -274,6 +272,8 @@ def _load_index(path) -> tuple[BinaryCodeMatrix, list, int]:
 def cmd_query(args) -> int:
     db_codes, _, _ = _load_index(args.index)
     queries = BinaryCodeMatrix.load(args.queries)
+    if queries.K != db_codes.K:
+        raise DataError(f"{args.queries}: {queries.K}-bit codes, but the index has {db_codes.K}")
     payload = {"command": "query", "index": str(args.index),
                "queries": str(args.queries), "k": args.k}
     with _output(args, payload) as (stage, _):
@@ -297,6 +297,8 @@ def cmd_query(args) -> int:
 def cmd_eval(args) -> int:
     db_codes = BinaryCodeMatrix.load(args.db_codes)
     query_codes = BinaryCodeMatrix.load(args.query_codes)
+    if query_codes.K != db_codes.K:
+        raise DataError(f"{args.query_codes}: {query_codes.K}-bit codes, but --db-codes has {db_codes.K}")
     db_labels = load_labels(args.db_labels, num_classes=args.classes, n_items=db_codes.n)
     query_labels = load_labels(args.query_labels, num_classes=args.classes, n_items=query_codes.n)
     try:
@@ -346,19 +348,19 @@ def _eval_split_map(out_dir: Path, dataset: Dataset) -> float:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config_file(args.config)
-    base_dir = Path(args.config).parent if args.config else Path(".")
+    cfg, base_dir = _load_config_file(args.config)
     ablate_cfg = _section(cfg, "ablate")
     seeds = ablate_cfg.get("seeds")
     if not isinstance(seeds, list) or not seeds or any(type(s) is not int for s in seeds):
         raise ConfigError(f"ablate.seeds must be a non-empty list of integers, got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"duplicate seeds in ablate.seeds: {seeds}")
-    variants = ablate_cfg.get("variants", list(ABLATION_VARIANTS))
-    if not isinstance(variants, list) or any(v not in ABLATION_VARIANTS for v in variants) \
+    names = tuple(ABLATIONS)
+    variants = ablate_cfg.get("variants", list(names))
+    if not isinstance(variants, list) or any(v not in names for v in variants) \
             or len(set(variants)) != len(variants):
         raise ConfigError(f"ablate.variants must be a list of distinct names from "
-                          f"{ABLATION_VARIANTS}, got {variants!r}")
+                          f"{names}, got {variants!r}")
 
     with _output(args, {"command": "ablate", "config": cfg}) as (stage, chash):
         rows = []
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", parents=[common], help="train encoder, codes, centers")
-    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--seed", type=int, help="override hyper.seed")
 
     p = sub.add_parser("encode", parents=[common], help="encode features with a checkpoint")
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="1,10,100")
 
     p = sub.add_parser("ablate", parents=[common], help="run loss-component ablations")
-    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--config", required=True, help="JSON configuration file")
 
     p = sub.add_parser("curves", parents=[common], help="emit margin loss curves")
     p.add_argument("--margins", default="0,1,2")

@@ -9,8 +9,10 @@ proportion 1/m per class in its label-matrix column.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,28 @@ def distinct_label_sets(label_sets) -> tuple[list, np.ndarray]:
         dtype=np.intp, count=len(label_sets),
     )
     return list(ids), item_ids
+
+
+def relevance_matrix(query_label_sets, db_label_sets, num_classes: int | None = None) -> np.ndarray:
+    """Boolean (n_q, n_db) matrix: entry true iff the label sets meet.
+
+    This is the one similarity rule: for training pairs and for ranking.
+    num_classes defaults to one more than the largest class id; an id
+    outside [0, num_classes) is a ValueError.
+    """
+    both = (query_label_sets, db_label_sets)
+    if num_classes is None:
+        num_classes = 1 + max((c for sets in both for s in sets for c in s), default=-1)
+    indicators = []
+    for label_sets in both:
+        ind = np.zeros((len(label_sets), num_classes), dtype=bool)
+        for i, labels in enumerate(label_sets):
+            labels = list(labels)
+            if not all(0 <= c < num_classes for c in labels):
+                raise ValueError(f"label set {sorted(labels)} has a class id outside [0, {num_classes})")
+            ind[i, labels] = True
+        indicators.append(ind)
+    return indicators[0] @ indicators[1].T
 
 
 @dataclass
@@ -180,6 +204,22 @@ def read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def check_number(name: str, value, kind: str):
+    """value, if it is an integer (kind "int") or a finite real (kind "float"), but no bool.
+
+    Config values come through json, which also yields bools, fractions
+    where counts belong, NaN and Infinity.  A bad "int" is a TypeError,
+    a bad "float" a ValueError.
+    """
+    if kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if kind == "float" and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def read_json(path, what: str) -> dict:
     """A file's JSON object, named `what` in errors.
 
@@ -259,15 +299,8 @@ def write_json(path, payload) -> None:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    write_json(path, {
-        "name": manifest.name,
-        "feature_path": manifest.feature_path,
-        "label_path": manifest.label_path,
-        "input_dim": manifest.input_dim,
-        "n_items": manifest.n_items,
-        "num_classes": manifest.num_classes,
-        "splits": {k: list(map(int, v)) for k, v in manifest.splits.items()},
-    })
+    splits = {k: list(map(int, v)) for k, v in manifest.splits.items()}
+    write_json(path, {**asdict(manifest), "splits": splits})
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .binary_codes import BinaryCodeMatrix, CodeGroups, hamming_cross
-from .datasets import distinct_label_sets
+from .datasets import distinct_label_sets, relevance_matrix
 
 # Upper bound on the scratch distance block, in entries.
 _BLOCK_ENTRIES = 4_000_000
@@ -109,25 +109,6 @@ def average_precision(flags, r_total: int) -> float:
     return float(precisions.sum() / min(r_total, flags.size))
 
 
-def relevance_matrix(query_label_sets, db_label_sets, num_classes: int) -> np.ndarray:
-    """Boolean (n_q, n_db) matrix: entry true iff label sets intersect.
-
-    Raises ValueError for a class id outside [0, num_classes).
-    """
-    indicators = []
-    for label_sets in (query_label_sets, db_label_sets):
-        ind = np.zeros((len(label_sets), num_classes), dtype=bool)
-        for i, labels in enumerate(label_sets):
-            labels = list(labels)
-            if not all(0 <= c < num_classes for c in labels):
-                raise ValueError(
-                    f"label set {sorted(labels)} has a class id outside [0, {num_classes})"
-                )
-            ind[i, labels] = True
-        indicators.append(ind)
-    return indicators[0] @ indicators[1].T
-
-
 @dataclass
 class MetricsReport:
     """MAP@k plus P@N / R@N and radius-swept PR curves."""
@@ -184,8 +165,6 @@ def metrics_report(
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     q_sets, q_pid = distinct_label_sets(query_label_sets)
     db_sets, db_pid = distinct_label_sets(db_label_sets)
-    if num_classes is None:
-        num_classes = 1 + max(max(s) for s in [*q_sets, *db_sets])
     table = relevance_matrix(q_sets, db_sets, num_classes)
     r_totals = (table @ np.bincount(db_pid, minlength=len(db_sets)))[q_pid]
     n_q, n_db, k_bits = queries.n, database.n, queries.K

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary_codes import BinaryCodeMatrix
-from .datasets import distinct_label_sets
+from .binary_codes import dense_signs
+from .datasets import distinct_label_sets, relevance_matrix
 
 
 def softplus(x):
@@ -134,16 +134,6 @@ def _as_pairs(pairs) -> np.ndarray:
     return pairs
 
 
-def _dense_codes(b, k: int, n: int) -> np.ndarray:
-    if isinstance(b, BinaryCodeMatrix):
-        dense = b.dense(np.float64)
-    else:
-        dense = np.asarray(b, dtype=np.float64)
-    if dense.shape != (k, n):
-        raise ValueError(f"code matrix shape {dense.shape} does not match ({k}, {n})")
-    return dense
-
-
 def sign_matrix(pairs, n: int) -> np.ndarray:
     """Symmetric N x N pair-sign matrix of PairSets or of a given matrix.
 
@@ -177,13 +167,21 @@ def _pair_coef(d: np.ndarray, s: np.ndarray, m: float) -> np.ndarray:
     return -0.5 * s * np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def pair_objective(u: np.ndarray, b, pairs, params: MarginParams) -> float:
-    """Sum of pair losses on u plus psi * sum_i ||u_i - b_i||^2; pairs as in sign_matrix."""
+def _pair_inputs(u, b, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u and the codes b as K x N float arrays, and the sign matrix of pairs."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError(f"expected K x N representations, got shape {u.shape}")
-    bd = _dense_codes(b, *u.shape)
-    s = np.triu(sign_matrix(pairs, u.shape[1]), 1)
+    bd = dense_signs(b)
+    if bd.shape != u.shape:
+        raise ValueError(f"code matrix shape {bd.shape} does not match {u.shape}")
+    return u, bd, sign_matrix(pairs, u.shape[1])
+
+
+def pair_objective(u: np.ndarray, b, pairs, params: MarginParams) -> float:
+    """Sum of pair losses on u plus psi * sum_i ||u_i - b_i||^2; pairs as in sign_matrix."""
+    u, bd, s = _pair_inputs(u, b, pairs)
+    s = np.triu(s, 1)
     d = -0.5 * (u.T @ u)
     _check_finite(d, params.m)
     loss = float((_softplus_inplace(s * d + params.m) * np.abs(s)).sum())
@@ -198,11 +196,7 @@ def pair_gradient(u: np.ndarray, b, pairs, params: MarginParams) -> np.ndarray:
     contributes +1/2 sigma(-D_ij + m) u_j.  The discrepancy term adds
     2 psi (u_i - b_i) per column.  pairs as in sign_matrix.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2:
-        raise ValueError(f"expected K x N representations, got shape {u.shape}")
-    bd = _dense_codes(b, *u.shape)
-    s = sign_matrix(pairs, u.shape[1])
+    u, bd, s = _pair_inputs(u, b, pairs)
     coef = _pair_coef(-0.5 * (u.T @ u), s, params.m)
     return 2.0 * params.psi * (u - bd) + u @ coef
 
@@ -238,33 +232,31 @@ def pair_loss_full(u: np.ndarray, label_sets, margin: float, block: int = 128) -
     Only the loss is computed.  Items are stably sorted by distinct label
     set and cut into tiles of at most block items (see _label_tiles).
     Between two tiles of one label set each, every pair has the same
-    sign, which folds into the Gram scale: -1/2 if the sets share a
-    label, +1/2 if not.  Mixed tiles take the sign per pair from a label
-    indicator.  The signed dissimilarities are shifted by the margin and
-    passed through softplus in place.  At the default block each float64
-    temporary is 128 KB and a tile's few of them stay in L2; at
-    N = 4500, K = 12 on a 2-vCPU Xeon VM (2 MB of L2 per core),
-    256 x 256 blocks ran 1.4x slower (median 170 vs 118 ms).
+    sign, which folds into the Gram scale: -1/2 if the sets meet, +1/2
+    if not.  Mixed tiles take the sign per pair from the same table of
+    which sets meet (datasets.relevance_matrix).  The signed
+    dissimilarities are shifted by the margin and passed through
+    softplus in place.  No Gram entry exceeds the larger squared norm of
+    its two items, so the inputs are checked once, on those norms.  At
+    the default block each float64 temporary is 128 KB and a tile's few
+    of them stay in L2; at N = 4500, K = 12 on a 2-vCPU Xeon VM (2 MB of
+    L2 per core), 256 x 256 blocks ran 1.4x slower (median 170 vs 118 ms).
     """
     sets, ids = distinct_label_sets(label_sets)
+    meet = relevance_matrix(sets, sets)
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     ut = np.ascontiguousarray(u.T[order])
-    classes = {c: k for k, c in enumerate(sorted(set().union(*sets)))}
-    set_ind = np.zeros((len(sets), len(classes)))
-    set_ind[[g for g, labels in enumerate(sets) for _ in labels],
-            [classes[c] for labels in sets for c in labels]] = 1.0
-    ind = set_ind[ids]
+    _check_finite(np.einsum("ij,ij->i", ut, ut), margin)
     tiles = _label_tiles(ids, block)
     total = 0.0
     for a, (bi, ei, ga) in enumerate(tiles):
         for bj, ej, gb in tiles[a:]:
             z = ut[bi:ei] @ ut[bj:ej].T
             single = ga >= 0 and gb >= 0
-            z *= 0.5 if single and sets[ga].isdisjoint(sets[gb]) else -0.5
-            _check_finite(z, margin)
+            z *= 0.5 if single and not meet[ga, gb] else -0.5
             if not single:
-                z = np.where(ind[bi:ei] @ ind[bj:ej].T > 0, z, -z)
+                z = np.where(meet[np.ix_(ids[bi:ei], ids[bj:ej])], z, -z)
             z += margin
             _softplus_inplace(z)
             total += float((np.triu(z, 1) if bi == bj else z).sum())

@@ -12,8 +12,6 @@ artifacts.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -22,13 +20,16 @@ import numpy as np
 
 from . import centers as centers_mod
 from . import encoder as encoder_mod
-from .binary_codes import BinaryCodeMatrix
+from .binary_codes import BinaryCodeMatrix, dense_signs
 from .centers import CenterHyper, init_centers, target_matrix, update_centers, update_codes
-from .datasets import Dataset, write_json
+from .datasets import Dataset, check_number, distinct_label_sets, relevance_matrix, write_json
 from .evaluation import metrics_report
 from .exceptions import NumericalError
 from .pairwise import MarginParams, loss_dissimilar, loss_similar, pair_loss_full
 from .pairwise import pair_gradient, pair_objective, sign_matrix
+
+# Each ablation variant and the weights it sets to 0; the variants stack.
+ABLATIONS = {"pair": ("mu", "nu"), "pair+intra": ("nu",), "full": ()}
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,8 @@ class HyperParams:
     center_rounds: int = 3
 
     def __post_init__(self):
-        # Config files reach here through json, which also yields bools,
-        # fractional numbers where counts belong, NaN and Infinity.
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise TypeError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            ):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            check_number(f.name, getattr(self, f.name), f.type)
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
         if self.epochs < 0:
@@ -102,14 +95,10 @@ class HyperParams:
         return self.phi * pair + self.mu * intra + self.nu * inter + quant
 
     def ablation(self, variant: str) -> "HyperParams":
-        """The three stacked variants: pair (mu = nu = 0), pair+intra (nu = 0), full."""
-        if variant == "pair":
-            return replace(self, mu=0.0, nu=0.0)
-        if variant == "pair+intra":
-            return replace(self, nu=0.0)
-        if variant == "full":
-            return self
-        raise ValueError(f"unknown ablation variant {variant!r}")
+        """This configuration with the weights of an ABLATIONS variant set to 0."""
+        if variant not in ABLATIONS:
+            raise ValueError(f"unknown ablation variant {variant!r}")
+        return replace(self, **dict.fromkeys(ABLATIONS[variant], 0.0))
 
 
 @dataclass
@@ -173,7 +162,7 @@ def continuous_step_gradient(u: np.ndarray, b, pairs, hp: HyperParams) -> np.nda
     pairwise logistic step with a quantization penalty.
     """
     n = u.shape[1]
-    bd = b.dense(np.float64) if isinstance(b, BinaryCodeMatrix) else np.asarray(b, dtype=np.float64)
+    bd = dense_signs(b)
     grad = 2.0 * (u - bd) / n
     s = sign_matrix(pairs, n)
     if hp.phi > 0 and s.any():
@@ -221,6 +210,8 @@ def train(
     x = dataset.features[:, train_idx]
     label_sets = dataset.subset_labels(train_idx)
     y = dataset.y_matrix(train_idx)
+    sets, set_of = distinct_label_sets(label_sets)
+    meet = relevance_matrix(sets, sets, dataset.num_classes)
     n = x.shape[1]
     a = target_matrix(hp.bits, dataset.num_classes)
 
@@ -236,22 +227,23 @@ def train(
     for epoch in range(hp.epochs):
         perm = rng.permutation(n)
         b_dense = b.dense(np.float64)
-        for start in range(0, n, hp.batch_size):
-            idx = perm[start : start + hp.batch_size]
-            u_batch, cache = encoder_mod.forward(state, x[:, idx])
-            # y has positive entries only: items share a label iff their product is > 0.
-            y_batch = y[:, idx]
-            s = np.where(y_batch.T @ y_batch > 0, 1.0, -1.0)
-            np.fill_diagonal(s, 0.0)
-            du = continuous_step_gradient(u_batch, b_dense[:, idx], s, hp)
-            if not np.isfinite(du).all():
-                raise NumericalError(
-                    f"non-finite loss gradient at epoch {epoch}, batch {start // hp.batch_size}"
-                )
-            grads, _ = encoder_mod.backward(state, cache, du)
-            state = opt.step(state, grads)
-
-        u_full, _ = encoder_mod.forward(state, x)
+        # A diverging step overflows; the finiteness checks report it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, hp.batch_size):
+                idx = perm[start : start + hp.batch_size]
+                u_batch, cache = encoder_mod.forward(state, x[:, idx])
+                s = np.where(meet[np.ix_(set_of[idx], set_of[idx])], 1.0, -1.0)
+                np.fill_diagonal(s, 0.0)
+                du = continuous_step_gradient(u_batch, b_dense[:, idx], s, hp)
+                if not np.isfinite(du).all():
+                    raise NumericalError(
+                        f"non-finite loss gradient at epoch {epoch}, batch {start // hp.batch_size}"
+                    )
+                grads, _ = encoder_mod.backward(state, cache, du)
+                state = opt.step(state, grads)
+            u_full, _ = encoder_mod.forward(state, x)
+        if not np.isfinite(u_full).all():
+            raise NumericalError(f"non-finite representations after epoch {epoch}")
         b, c, v = _discrete_phase(u_full, y, v, hp, a)
 
         pair = pair_loss_full(u_full, label_sets, hp.margin)

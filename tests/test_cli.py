@@ -2,10 +2,15 @@ import errno
 import json
 import hashlib
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fisherhash
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.cli import main
 from fisherhash.datasets import DatasetManifest, save_manifest, write_features, write_labels
@@ -140,7 +145,14 @@ class TestTrainCommand:
         ("classes", "abc"),
         ("per_class", None),
         ("separation", [1.0]),
-    ], ids=["text-classes", "null-per-class", "list-separation"])
+        # Synthetic values follow hyper's rule: an integer or a finite real, never a bool.
+        ("per_class", 20.9),
+        ("classes", "2"),
+        ("separation", "3.0"),
+        ("seed", True),
+        ("seed", 1.7),
+    ], ids=["text-classes", "null-per-class", "list-separation", "fractional-per-class",
+            "numeric-text-classes", "numeric-text-separation", "bool-seed", "fractional-seed"])
     def test_malformed_synthetic_spec_exits_2(self, tmp_path, field, value):
         cfg_path = tmp_path / "cfg.json"
         cfg = write_train_config(cfg_path, epochs=1)
@@ -156,9 +168,11 @@ class TestTrainCommand:
         lambda cfg: cfg["dataset"].update(manifests="manifest.json"),
         lambda cfg: cfg.update(hyperparams={"bits": 4}),
         lambda cfg: cfg.update(encoder=[[8, "relu"]]),
+        lambda cfg: cfg["encoder"].update(hidden_layers=[[8.9, "relu"]]),
+        lambda cfg: cfg["encoder"].update(seed=2.5),
     ], ids=["text-hidden-width", "scalar-hidden-layers", "misspelt-hidden-layers",
             "unknown-synthetic-key", "unknown-dataset-key", "unknown-top-level-key",
-            "list-encoder-section"])
+            "list-encoder-section", "fractional-hidden-width", "fractional-encoder-seed"])
     def test_malformed_config_section_exits_2(self, tmp_path, capsys, edit):
         cfg_path = tmp_path / "cfg.json"
         cfg = write_train_config(cfg_path, epochs=1)
@@ -221,6 +235,34 @@ class TestTrainCommand:
         assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert err.startswith("error (data)") and target in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("shape, lr", [((3, 30, 8), 1e6), ((4, 25, 6), 30.0)],
+                             ids=["gradient-overflow", "representation-overflow"])
+    def test_diverging_run_exits_4_with_one_json_line(self, tmp_path, shape, lr):
+        # A process of its own, so numpy's warnings would reach stderr as a user sees it.
+        cfg_path = tmp_path / "cfg.json"
+        classes, per_class, dim = shape
+        write_train_config(cfg_path, classes=classes, per_class=per_class, dim=dim,
+                           extra_hyper={"lr": lr})
+        out = tmp_path / "o"
+        src = str(Path(fisherhash.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONWARNINGS": "default",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fisherhash.cli", "train", "--config", str(cfg_path),
+             "--out", str(out), "--json"], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 4, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert json.loads(proc.stderr)["error"] == "numerical"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_missing_config_flag_exits_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("corrupt", ["non-utf8", "directory"])
@@ -368,6 +410,39 @@ class TestEncodeIndexQuery:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error (data)") and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_code_length_mismatch_exits_3(self, tmp_path, capsys, command):
+        write_eval_fixture(tmp_path)  # 4-bit codes
+        BinaryCodeMatrix.from_signs(np.ones((8, 3), dtype=np.int8)).save(tmp_path / "q8.fhsh")
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "3", "--out", str(tmp_path / "index")) == 0
+        capsys.readouterr()
+        argv = {
+            "query": ["--index", str(tmp_path / "index"), "--queries", str(tmp_path / "q8.fhsh"),
+                      "--k", "2"],
+            "eval": ["--db-codes", str(tmp_path / "db.fhsh"),
+                     "--db-labels", str(tmp_path / "db_labels.txt"),
+                     "--query-codes", str(tmp_path / "q8.fhsh"),
+                     "--query-labels", str(tmp_path / "q_labels.txt"),
+                     "--classes", "3", "--ks", "1,5"],
+        }[command]
+        assert run_cli(command, *argv, "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (data)") and "q8.fhsh: 8-bit codes" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_encoder_output_exits_4(self, tmp_path, capsys):
+        # Finite weights and features whose product overflows float64.
+        save_checkpoint(EncoderState([np.full((2, 4), 1e300)], [np.zeros(2)], ["identity"]),
+                        tmp_path / "enc.fhnn")
+        write_features(tmp_path / "x.fhft", np.full((4, 3), 1e30))
+        code = run_cli("encode", "--checkpoint", str(tmp_path / "enc.fhnn"),
+                       "--features", str(tmp_path / "x.fhft"), "--out", str(tmp_path / "o"))
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error (numerical)")
         assert not (tmp_path / "o").exists()
 
     def test_query_k_out_of_range(self, tmp_path, capsys):
@@ -866,3 +941,60 @@ class TestCrashSafety:
         monkeypatch.setattr("fisherhash.training.write_json", disk_full)
         self.fails_leaving_out_as_it_was(tmp_path, out, lambda: run_cli(
             "train", "--config", str(cfg_path), "--out", str(out), "--seed", "8", "--force"))
+
+
+def mutate(data: bytes, kind: str, rng) -> bytes:
+    """data cut short, with one byte overwritten, or with one byte inserted."""
+    if kind == "cut":
+        return data[:rng.integers(0, len(data))]
+    at = int(rng.integers(0, len(data) + (kind == "insert")))
+    byte = bytes([int(rng.integers(0, 256))])
+    return data[:at] + byte + data[at + (kind == "overwrite"):]
+
+
+class TestFuzzedInputs:
+    """Every input file of a command, damaged: a documented exit code, never a crash."""
+
+    INPUTS = {
+        "encode": ["enc.fhnn", "x.fhft"],
+        "index": ["db.fhsh", "db_labels.txt"],
+        "query": ["index/index.json", "index/codes.fhsh", "index/labels.txt", "q.fhsh"],
+        "eval": ["db.fhsh", "db_labels.txt", "q.fhsh", "q_labels.txt"],
+    }
+    ARGV = {
+        "encode": ["--checkpoint", "enc.fhnn", "--features", "x.fhft"],
+        "index": ["--codes", "db.fhsh", "--labels", "db_labels.txt", "--classes", "3"],
+        "query": ["--index", "index", "--queries", "q.fhsh", "--k", "2"],
+        "eval": ["--db-codes", "db.fhsh", "--db-labels", "db_labels.txt", "--query-codes",
+                 "q.fhsh", "--query-labels", "q_labels.txt", "--classes", "3", "--ks", "1,5"],
+    }
+
+    @pytest.mark.parametrize("command", list(INPUTS))
+    def test_damaged_inputs_exit_0_2_3_or_4(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        write_eval_fixture(tmp_path)
+        rng = np.random.default_rng(2024)
+        save_checkpoint(init_state(EncoderSpec(input_dim=4, output_dim=2,
+                                               hidden_layers=((3, "relu"),))), tmp_path / "enc.fhnn")
+        write_features(tmp_path / "x.fhft", rng.normal(size=(4, 3)))
+        assert run_cli("index", "--codes", "db.fhsh", "--labels", "db_labels.txt",
+                       "--classes", "3", "--out", "index") == 0
+        codes = set()
+        for name in self.INPUTS[command]:
+            path = tmp_path / name
+            intact = path.read_bytes()
+            for kind in ("cut", "overwrite", "insert"):
+                for _ in range(16):
+                    path.write_bytes(mutate(intact, kind, rng))
+                    capsys.readouterr()
+                    code = run_cli(command, *self.ARGV[command], "--out", "o")
+                    err = capsys.readouterr().err
+                    assert code in (0, 2, 3, 4), (name, kind, err)
+                    assert "Traceback" not in err
+                    codes.add(code)
+                    if code:
+                        assert not (tmp_path / "o").exists(), (name, kind, err)
+                    shutil.rmtree(tmp_path / "o", ignore_errors=True)
+                    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+            path.write_bytes(intact)
+        assert 3 in codes

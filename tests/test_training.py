@@ -268,6 +268,19 @@ class TestTrain:
         assert last.quant_loss == pytest.approx(comps["quant"], abs=1e-9)
         assert last.total == pytest.approx(total, abs=1e-9)
 
+    @pytest.mark.parametrize("knob", [{"momentum": 0.9}, {"weight_decay": 0.05}],
+                             ids=["momentum", "weight-decay"])
+    def test_sgd_knob_changes_the_checkpoint_reproducibly(self, tmp_path, knob):
+        ds = self.dataset()
+
+        def checkpoint(run, **overrides):
+            train(ds, tiny_hp(**overrides), self.spec(ds), out_dir=tmp_path / run)
+            return (tmp_path / run / "encoder.fhnn").read_bytes()
+
+        first = checkpoint("first", **knob)
+        assert checkpoint("again", **knob) == first
+        assert checkpoint("default") != first
+
     def test_encoder_dataset_shape_mismatch_rejected(self):
         ds = self.dataset()
         bad_spec = EncoderSpec(input_dim=ds.input_dim + 1, output_dim=2)
