@@ -37,8 +37,9 @@ with tempfile.TemporaryDirectory() as td:
     state = load_checkpoint(Path(td) / "encoder.fhnn")
     db_codes = BinaryCodeMatrix.load(Path(td) / "codes.fhsh")
 
-print(f"\ntrained {hp.epochs} epochs; objective "
-      f"{report.records[0].total:.0f} -> {report.records[-1].total:.0f}")
+print(f"\ntrained {hp.epochs} epochs; pair loss on the codes "
+      f"{report.records[0].code_pair_loss:.0f} -> {report.records[-1].code_pair_loss:.0f}; "
+      f"final objective {report.records[-1].total:.0f}")
 
 q_idx = ds.split("query")
 u_q, _ = forward(state, ds.features[:, q_idx])

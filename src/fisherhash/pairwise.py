@@ -14,6 +14,11 @@ softplus(S*D + m) over the nonzero entries of S, and for symmetric S the
 gradient in U is U @ (-1/2 S * sigma(S*D + m)).  A weighted squared
 discrepancy psi * sum_i ||u_i - b_i||^2 ties the continuous columns to
 their binary codes.  m = 0 recovers the plain pairwise logistic loss.
+
+Over all pairs of a data set, pair_loss_full sums the loss on continuous
+columns in Gram blocks, and code_pair_loss sums it on binary codes,
+where D = h - K/2 takes only the K + 1 values of the Hamming distance h,
+so the pairs are counted per h rather than scored one by one.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary_codes import dense_signs
+from .binary_codes import BinaryCodeMatrix, dense_signs, hamming_cross
 from .datasets import distinct_label_sets, relevance_matrix
+from .evaluation import _BLOCK_ENTRIES
 
 
 def softplus(x):
@@ -201,63 +207,65 @@ def pair_gradient(u: np.ndarray, b, pairs, params: MarginParams) -> np.ndarray:
     return 2.0 * params.psi * (u - bd) + u @ coef
 
 
-def _label_tiles(group_ids: np.ndarray, block: int) -> list:
-    """Tiles (start, end, group) of at most block items over sorted group ids.
-
-    A run of one group is cut into tiles of block items; runs shorter
-    than block share mixed tiles, so there are about n / block tiles
-    however many groups there are.  group is the tile's group id, or -1
-    for a tile holding several groups.
-    """
-    n = len(group_ids)
-    runs = np.flatnonzero(np.diff(group_ids)) + 1
-    edges = [0]
-    for start, end in zip([0, *runs], [*runs, n]):
-        if end - edges[-1] > block:
-            if edges[-1] < start:
-                edges.append(start)
-            edges.extend(range(start + block, end, block))
-    if n:
-        edges.append(n)
-    return [
-        (lo, hi, int(group_ids[lo]) if group_ids[lo] == group_ids[hi - 1] else -1)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
-
-
 def pair_loss_full(u: np.ndarray, label_sets, margin: float, block: int = 128) -> float:
-    """Sum of pair losses over all unordered pairs, without
-    materializing the pair sets (upper-triangle Gram tiles).
+    """Sum of pair losses over all unordered pairs of the columns of u, in
+    upper-triangle Gram blocks, without materializing the pair sets.
 
-    Only the loss is computed.  Items are stably sorted by distinct label
-    set and cut into tiles of at most block items (see _label_tiles).
-    Between two tiles of one label set each, every pair has the same
-    sign, which folds into the Gram scale: -1/2 if the sets meet, +1/2
-    if not.  Mixed tiles take the sign per pair from the same table of
-    which sets meet (datasets.relevance_matrix).  The signed
+    Only the loss is computed.  The Gram entries are scaled by -1/2
+    where the two items' label sets meet and +1/2 where they do not, a
+    scale read off the one table of which sets meet
+    (datasets.relevance_matrix), one row block at a time.  The signed
     dissimilarities are shifted by the margin and passed through
     softplus in place.  No Gram entry exceeds the larger squared norm of
     its two items, so the inputs are checked once, on those norms.  At
-    the default block each float64 temporary is 128 KB and a tile's few
-    of them stay in L2; at N = 4500, K = 12 on a 2-vCPU Xeon VM (2 MB of
-    L2 per core), 256 x 256 blocks ran 1.4x slower (median 170 vs 118 ms).
+    the default block each float64 temporary is 128 KB and a block's few
+    of them stay in L2.
     """
     sets, ids = distinct_label_sets(label_sets)
-    meet = relevance_matrix(sets, sets)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    ut = np.ascontiguousarray(u.T[order])
+    scale = np.where(relevance_matrix(sets, sets), -0.5, 0.5)
+    ut = np.ascontiguousarray(u.T)
     _check_finite(np.einsum("ij,ij->i", ut, ut), margin)
-    tiles = _label_tiles(ids, block)
+    n = len(ids)
     total = 0.0
-    for a, (bi, ei, ga) in enumerate(tiles):
-        for bj, ej, gb in tiles[a:]:
-            z = ut[bi:ei] @ ut[bj:ej].T
-            single = ga >= 0 and gb >= 0
-            z *= 0.5 if single and not meet[ga, gb] else -0.5
-            if not single:
-                z = np.where(meet[np.ix_(ids[bi:ei], ids[bj:ej])], z, -z)
+    for bi in range(0, n, block):
+        row_scale = scale[ids[bi:bi + block]]
+        for bj in range(bi, n, block):
+            z = ut[bi:bi + block] @ ut[bj:bj + block].T
+            z *= row_scale[:, ids[bj:bj + block]]
             z += margin
             _softplus_inplace(z)
             total += float((np.triu(z, 1) if bi == bj else z).sum())
     return total
+
+
+def code_pair_loss(b: BinaryCodeMatrix, set_of: np.ndarray, meet: np.ndarray, margin: float) -> float:
+    """Sum of pair losses over all unordered pairs of the columns of the codes b.
+
+    set_of[i] is item i's index into the distinct label sets and meet
+    the table of which of them meet (datasets.relevance_matrix).  On
+    codes D = -1/2 <b_i, b_j> = h - K/2 with h the Hamming distance, so
+    a pair's loss depends only on h and on whether its label sets meet.
+    The pairs are counted per h between the distinct codes, in row
+    blocks of them: all pairs from the code counts, similar pairs from
+    C meet C' with C the (distinct code x label set) item counts.  The
+    N self-pairs at h = 0 are taken out, and softplus is evaluated on
+    the K + 1 values of D only.  All counts are exact integers.
+    """
+    groups = b.groups()
+    n_codes, n_sets = groups.codes.n, len(meet)
+    c = np.bincount(groups.code_of * n_sets + set_of, minlength=n_codes * n_sets)
+    c = c.reshape(n_codes, n_sets).astype(np.float64)
+    counts = groups.counts.astype(np.float64)
+    meet = meet.astype(np.float64)
+    every = np.zeros(b.K + 1)
+    similar = np.zeros(b.K + 1)
+    block = max(1, _BLOCK_ENTRIES // n_codes)
+    for start in range(0, n_codes, block):
+        rows = range(start, min(start + block, n_codes))
+        h = hamming_cross(groups.codes.take(rows), groups.codes).ravel()
+        every += np.bincount(h, np.outer(counts[rows], counts).ravel(), b.K + 1)
+        similar += np.bincount(h, (c[rows] @ meet @ c.T).ravel(), b.K + 1)
+    every[0] -= b.n
+    similar[0] -= meet.diagonal()[set_of].sum()
+    d = np.arange(b.K + 1) - b.K / 2
+    return 0.5 * float(similar @ loss_similar(d, margin) + (every - similar) @ loss_dissimilar(d, margin))

@@ -4,9 +4,12 @@ Each epoch runs (1) a continuous phase: minibatch SGD on the encoder
 against the pair losses plus the quantization pull toward the current
 codes, then (2) a discrete phase on the full training set: re-quantize
 codes, descend the relaxed centers, and apply the closed-form code
-update, alternating for a few rounds.  All randomness flows from the
-single seed, so a fixed configuration reproduces bit-identical
-artifacts.
+update, alternating for a few rounds.  Each epoch reports the
+center, inter-center and quantization losses and the pair loss on the
+epoch's codes (pairwise.code_pair_loss); the continuous pair loss over
+all pairs and the weighted joint objective are computed once, after the
+last epoch.  All randomness flows from the single seed, so a fixed
+configuration reproduces bit-identical artifacts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .centers import CenterHyper, init_centers, target_matrix, update_centers, u
 from .datasets import Dataset, check_number, distinct_label_sets, relevance_matrix, write_json
 from .evaluation import metrics_report
 from .exceptions import NumericalError
-from .pairwise import MarginParams, loss_dissimilar, loss_similar, pair_loss_full
+from .pairwise import MarginParams, code_pair_loss, loss_dissimilar, loss_similar, pair_loss_full
 from .pairwise import pair_gradient, pair_objective, sign_matrix
 
 # Each ablation variant and the weights it sets to 0; the variants stack.
@@ -103,14 +106,26 @@ class HyperParams:
 
 @dataclass
 class EpochRecord:
-    """One epoch's objective; its fields are report.csv's columns and report.json's keys."""
+    """One epoch's objective; its fields are report.csv's columns and report.json's keys.
+
+    code_pair_loss is the margin pair loss on the epoch's codes B, over
+    all pairs.  pair_loss, the same loss on the continuous U, and total,
+    the weighted joint objective, are set on the last epoch's record
+    only; report.json leaves them out of the other records and
+    report.csv leaves their cells empty.
+    """
 
     epoch: int
-    pair_loss: float
+    code_pair_loss: float
     intra_loss: float
     inter_loss: float
     quant_loss: float
-    total: float
+    pair_loss: float | None = None
+    total: float | None = None
+
+    def as_dict(self) -> dict:
+        """The fields that are set, by name."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -133,7 +148,7 @@ class TrainReport:
             "config_hash": self.config_hash,
             "train_map": self.train_map,
             "artifacts": {k: str(v) for k, v in self.artifacts.items()},
-            "epochs": [asdict(r) for r in self.records],
+            "epochs": [r.as_dict() for r in self.records],
         }
 
 
@@ -246,16 +261,17 @@ def train(
             raise NumericalError(f"non-finite representations after epoch {epoch}")
         b, c, v = _discrete_phase(u_full, y, v, hp, a)
 
-        pair = pair_loss_full(u_full, label_sets, hp.margin)
-        intra = centers_mod.intra_loss(b, c, y)
-        inter = centers_mod.inter_loss(c, a)
-        quant = centers_mod.quant_loss(b, u_full)
-        total = hp.weighted_total(pair, intra, inter, quant)
-        if not np.isfinite(total):
-            raise NumericalError(f"non-finite objective at epoch {epoch}")
-        report.records.append(
-            EpochRecord(epoch, pair, intra, inter, quant, total)
+        record = EpochRecord(
+            epoch, code_pair_loss(b, set_of, meet, hp.margin), centers_mod.intra_loss(b, c, y),
+            centers_mod.inter_loss(c, a), centers_mod.quant_loss(b, u_full),
         )
+        if epoch == hp.epochs - 1:
+            record.pair_loss = pair_loss_full(u_full, label_sets, hp.margin)
+            record.total = hp.weighted_total(
+                record.pair_loss, record.intra_loss, record.inter_loss, record.quant_loss)
+        if not np.isfinite(list(record.as_dict().values())).all():
+            raise NumericalError(f"non-finite objective at epoch {epoch}")
+        report.records.append(record)
 
     if hp.epochs == 0:
         # Degenerate run: codes are the sign pattern of the untrained encoder.
@@ -292,7 +308,8 @@ def _save_artifacts(out_dir, state, b, c, v, report: TrainReport) -> None:
     write_json(paths["report_json"], report.as_dict())
     with open(paths["report_csv"], "w", encoding="utf-8") as fh:
         fh.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
-        fh.writelines(",".join(map(repr, astuple(r))) + "\n" for r in report.records)
+        fh.writelines(",".join("" if v is None else repr(v) for v in astuple(r)) + "\n"
+                      for r in report.records)
     # Wall-clock timing goes to a sidecar: it is the one run-dependent
     # quantity and must not break artifact reproducibility.
     with open(out / "timing.json", "w", encoding="utf-8") as fh:

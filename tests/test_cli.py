@@ -88,6 +88,24 @@ class TestTrainCommand:
         assert report["train_map"] == 1.0
         assert report["config_hash"] == json.loads((out / "meta.json").read_text())["config_hash"]
 
+    def test_report_epochs_are_finite_numbers_without_null(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_train_config(cfg_path, epochs=3)
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 0
+        text = (out / "report.json").read_text()
+        assert "null" not in text
+        epochs = json.loads(text)["epochs"]
+        assert len(epochs) == 3
+        for record in epochs:
+            assert all(type(v) in (int, float) and np.isfinite(v) for v in record.values())
+        assert [sorted(r) for r in epochs] == 2 * [
+            ["code_pair_loss", "epoch", "inter_loss", "intra_loss", "quant_loss"]
+        ] + [["code_pair_loss", "epoch", "inter_loss", "intra_loss", "pair_loss", "quant_loss", "total"]]
+        rows = (out / "report.csv").read_text().splitlines()
+        assert rows[0] == "epoch,code_pair_loss,intra_loss,inter_loss,quant_loss,pair_loss,total"
+        assert [row.endswith(",,") for row in rows[1:]] == [True, True, False]
+
     def test_missing_dataset_path_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisherhash.binary_codes import BinaryCodeMatrix
-from fisherhash.datasets import distinct_label_sets
+from fisherhash import pairwise
+from fisherhash.binary_codes import BinaryCodeMatrix, dense_signs
+from fisherhash.datasets import distinct_label_sets, relevance_matrix
 from fisherhash.pairwise import (
     MarginParams,
-    _label_tiles,
     PairSets,
+    code_pair_loss,
     loss_dissimilar,
     loss_similar,
     pair_gradient,
@@ -346,18 +349,75 @@ class TestGroupedFullLoss:
             want = reference_pair_loss_full(u, label_sets, m, block=block)
             assert pair_loss_full(u, label_sets, m, block=block) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("case, block", [
-        ("large-single-groups", 96), ("many-small-groups", 64), ("one-large-group-among-small", 128),
-    ])
-    def test_tiles_cover_items_in_about_n_over_block_tiles(self, case, block):
-        group_ids = np.sort(distinct_label_sets(_labels(case, np.random.default_rng(5)))[1])
-        tiles = _label_tiles(group_ids, block)
-        assert [lo for lo, _, _ in tiles] == [0] + [hi for _, hi, _ in tiles[:-1]]
-        assert tiles[-1][1] == len(group_ids)
-        for lo, hi, group in tiles:
-            assert 0 < hi - lo <= block
-            single = group_ids[lo] == group_ids[hi - 1]
-            assert group == (group_ids[lo] if single else -1)
-        # A tile is closed early only when the next run does not fit, so
-        # two neighbouring tiles always hold more than block items.
-        assert len(tiles) <= 2 * len(group_ids) // block + 1
+
+def _code_loss(b, label_sets, m):
+    sets, set_of = distinct_label_sets(label_sets)
+    return code_pair_loss(b, set_of, relevance_matrix(sets, sets), m)
+
+
+@st.composite
+def code_instances(draw):
+    """Codes of K in {1, 12, 64, 65} bits for 1 to 400 items, all on one
+    code, on a few codes or on distinct codes (as many as K allows);
+    single-label or overlapping multi-label sets from a few classes, so
+    sets are shared across codes; a margin in [0, 3]; and a row block
+    that holds every distinct code, divides them or leaves a ragged end."""
+    k = draw(st.sampled_from([1, 12, 64, 65]))
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 400)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from(["one", "few", "distinct"]))
+    if spread == "distinct":
+        low = min(k, 16)
+        ints = np.resize(rng.permutation(2**low), n)
+        signs = np.vstack([(ints >> np.arange(low)[:, None]) & 1, rng.integers(0, 2, (k - low, n))])
+    else:
+        pool = rng.integers(0, 2, (k, 1 if spread == "one" else draw(st.integers(2, 6))))
+        signs = pool[:, rng.integers(0, pool.shape[1], n)]
+    b = BinaryCodeMatrix.from_signs(2 * signs - 1)
+    classes = draw(st.integers(1, 6))
+    most = draw(st.sampled_from([1, min(3, classes)]))
+    label_sets = [frozenset(int(c) for c in rng.choice(classes, rng.integers(1, most + 1), replace=False))
+                  for _ in range(n)]
+    n_codes = b.groups().codes.n
+    divisors = [r for r in range(1, n_codes) if n_codes % r == 0]
+    ragged = [r for r in range(2, n_codes) if n_codes % r]
+    rows = draw(st.sampled_from([n_codes, *divisors[-1:], *ragged[:1], *ragged[-1:]]))
+    return b, label_sets, draw(st.floats(0.0, 3.0)), rows
+
+
+class TestCodePairLoss:
+    @given(code_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_dense_codes(self, instance):
+        b, label_sets, m, rows = instance
+        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", rows * b.groups().codes.n):
+            got = _code_loss(b, label_sets, m)
+        want = reference_pair_loss_full(dense_signs(b), label_sets, m)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_three_items_by_hand(self):
+        # K = 2, codes ++, +-, --; labels {0}, {0, 1}, {1}; m = 1.  Pairs
+        # (0, 1) and (1, 2) share a label at h = 1, D = 0: softplus(1)
+        # each.  (0, 2) shares none at h = 2, D = 1: softplus(-1 + 1).
+        b = BinaryCodeMatrix.from_signs(np.array([[1, 1, -1], [1, -1, -1]]))
+        got = _code_loss(b, [frozenset({0}), frozenset({0, 1}), frozenset({1})], 1.0)
+        assert got == pytest.approx(2 * SP_1 + LOG2, rel=1e-15)
+        assert got == pytest.approx(3.319670555596391, rel=1e-15)
+
+    def test_all_distinct_codes_stay_within_blocks(self):
+        # 2,000 distinct 64-bit codes in blocks of 50 rows: the scratch is
+        # a few 50 x 2,000 arrays, far from one 2,000 x 2,000 float64 matrix.
+        rng = np.random.default_rng(0)
+        n = 2000
+        b = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(64, n)))
+        assert b.groups().codes.n == n
+        label_sets = [frozenset({int(c)}) for c in rng.integers(0, 10, n)]
+        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", 50 * n):
+            tracemalloc.start()
+            try:
+                _code_loss(b, label_sets, 1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        one_matrix = n * n * 8
+        assert peak < one_matrix / 8

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fisherhash import training
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.centers import intra_loss, quant_loss, target_matrix, update_codes
 from fisherhash.datasets import make_synthetic
@@ -211,8 +212,24 @@ class TestTrain:
         assert len(report.records) == 3
         assert [r.epoch for r in report.records] == [0, 1, 2]
         for r in report.records:
-            for v in (r.pair_loss, r.intra_loss, r.inter_loss, r.quant_loss, r.total):
+            for v in (r.code_pair_loss, r.intra_loss, r.inter_loss, r.quant_loss):
                 assert np.isfinite(v)
+        # The continuous pair loss and the total are the last record's only.
+        assert all(r.pair_loss is None and r.total is None for r in report.records[:-1])
+        assert np.isfinite(report.records[-1].pair_loss) and np.isfinite(report.records[-1].total)
+
+    @pytest.mark.parametrize("epochs, calls", [(0, 0), (1, 1), (3, 1)])
+    def test_continuous_pair_loss_runs_once_per_run(self, monkeypatch, epochs, calls):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return pair_loss_full(*args, **kwargs)
+
+        monkeypatch.setattr(training, "pair_loss_full", spy)
+        ds = self.dataset()
+        train(ds, tiny_hp(epochs=epochs), self.spec(ds))
+        assert len(seen) == calls
 
     def test_zero_epochs_gives_untrained_sign_codes(self, tmp_path):
         ds = self.dataset()
