@@ -5,7 +5,6 @@ from .binary_codes import (
     BinaryCodeMatrix,
     dissimilarity,
     hamming_distance,
-    inner_product_matrix,
     pack,
     unpack,
 )
@@ -24,7 +23,7 @@ from .encoder import EncoderSpec, EncoderState, forward, init_state, load_checkp
 from .evaluation import MetricsReport, average_precision, metrics_report, search
 from .exceptions import ConfigError, DataError, FisherHashError, NumericalError
 from .pairwise import MarginParams, PairSets, loss_dissimilar, loss_similar
-from .training import HyperParams, TrainReport, joint_objective, train
+from .training import HyperParams, TrainReport, train
 
 __version__ = "0.1.0"
 
@@ -50,10 +49,8 @@ __all__ = [
     "hamming_distance",
     "init_centers",
     "init_state",
-    "inner_product_matrix",
     "inter_loss",
     "intra_loss",
-    "joint_objective",
     "load_checkpoint",
     "load_dataset",
     "load_manifest",

@@ -244,23 +244,6 @@ def hamming_distance(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> int:
     return int(hamming_cross(a, b)[0, 0])
 
 
-def inner_product_matrix(a, b) -> np.ndarray:
-    """Gram matrix <a_i, b_j> for two code tables or two real matrices.
-
-    Packed inputs use word-level XOR/popcount (<a,b> = K - 2 * D_H) and
-    match the unpacked integer dot product exactly.
-    """
-    if isinstance(a, BinaryCodeMatrix) and isinstance(b, BinaryCodeMatrix):
-        return a.K - 2 * hamming_cross(a, b).astype(np.int64)
-    if isinstance(a, BinaryCodeMatrix) or isinstance(b, BinaryCodeMatrix):
-        raise TypeError("mixed packed/real inputs are not supported")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a.T @ b
-
-
 def dissimilarity(a, b) -> float:
     """-1/2 <a, b>: monotone increasing in Hamming distance for codes.
 

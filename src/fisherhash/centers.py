@@ -25,13 +25,11 @@ def sign_plus(x: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(x, dtype=np.float64) >= 0.0, 1.0, -1.0)
 
 
-def check_label_matrix(y: np.ndarray, num_classes: int | None = None) -> np.ndarray:
+def check_label_matrix(y: np.ndarray) -> np.ndarray:
     """Validate an M x N class-proportion matrix (columns sum to 1)."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ValueError(f"label matrix must be 2-D, got shape {y.shape}")
-    if num_classes is not None and y.shape[0] != num_classes:
-        raise ValueError(f"expected {num_classes} classes, got {y.shape[0]}")
     if (y < 0).any():
         raise ValueError("label proportions must be >= 0")
     sums = y.sum(axis=0)

@@ -63,10 +63,6 @@ class EncoderState:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def copy(self) -> "EncoderState":
         return EncoderState(
             [w.copy() for w in self.weights],

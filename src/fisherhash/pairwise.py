@@ -29,7 +29,11 @@ import numpy as np
 
 from .binary_codes import BinaryCodeMatrix, dense_signs, hamming_cross
 from .datasets import distinct_label_sets, relevance_matrix
-from .evaluation import _BLOCK_ENTRIES
+
+# Upper bound on code_pair_loss's distance block, in entries.  Each block
+# also holds two float64 count products of the same size, so this keeps
+# the scratch at a few MB where the distinct codes are many.
+_BLOCK_ENTRIES = 250_000
 
 
 def softplus(x):

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import centers as centers_mod
 from . import encoder as encoder_mod
-from .binary_codes import BinaryCodeMatrix, dense_signs
+from .binary_codes import BinaryCodeMatrix
 from .centers import CenterHyper, init_centers, target_matrix, update_centers, update_codes
 from .datasets import Dataset, check_number, distinct_label_sets, relevance_matrix, write_json
 from .evaluation import metrics_report
 from .exceptions import NumericalError
 from .pairwise import MarginParams, code_pair_loss, loss_dissimilar, loss_similar, pair_loss_full
-from .pairwise import pair_gradient, pair_objective, sign_matrix
+from .pairwise import pair_gradient
 
 # Each ablation variant and the weights it sets to 0; the variants stack.
 ABLATIONS = {"pair": ("mu", "nu"), "pair+intra": ("nu",), "full": ()}
@@ -152,37 +152,22 @@ class TrainReport:
         }
 
 
-def joint_objective(u, b, c, y, pairs, hp: HyperParams):
-    """Weighted sum of the four objective blocks on explicit inputs.
-
-    Returns (total, components); the components are the raw block
-    values, the total applies phi/mu/nu.
-    """
-    a = target_matrix(hp.bits, np.asarray(y).shape[0])
-    pair = pair_objective(u, b, pairs, MarginParams(m=hp.margin, psi=0.0))
-    intra = centers_mod.intra_loss(b, c, y)
-    inter = centers_mod.inter_loss(c, a)
-    quant = centers_mod.quant_loss(b, u)
-    components = {"pair": pair, "intra": intra, "inter": inter, "quant": quant}
-    return hp.weighted_total(**components), components
-
-
-def continuous_step_gradient(u: np.ndarray, b, pairs, hp: HyperParams) -> np.ndarray:
+def continuous_step_gradient(u: np.ndarray, b: np.ndarray, s: np.ndarray, hp: HyperParams) -> np.ndarray:
     """Gradient in U for one minibatch of the continuous phase.
 
-    pairs is a PairSets or a sign matrix (see pairwise.sign_matrix).
+    b holds the batch's codes as a dense K x n sign matrix and s its
+    pair signs (see pairwise.sign_matrix), which pair_gradient checks.
     Pair losses are averaged over the pair count and the quantization
     pull over the item count, decoupling the step size from the batch
     size; with mu = nu = 0 and margin 0 this is exactly the classical
     pairwise logistic step with a quantization penalty.
     """
     n = u.shape[1]
-    bd = dense_signs(b)
-    grad = 2.0 * (u - bd) / n
-    s = sign_matrix(pairs, n)
-    if hp.phi > 0 and s.any():
-        pair_part = pair_gradient(u, bd, s, MarginParams(m=hp.margin, psi=0.0))
-        grad = grad + hp.phi * pair_part / (np.count_nonzero(s) // 2)
+    grad = 2.0 * (u - b) / n
+    count = np.count_nonzero(s) // 2
+    if hp.phi > 0 and count:
+        pair_part = pair_gradient(u, b, s, MarginParams(m=hp.margin, psi=0.0))
+        grad = grad + hp.phi * pair_part / count
     return grad
 
 
@@ -315,16 +300,6 @@ def _save_artifacts(out_dir, state, b, c, v, report: TrainReport) -> None:
     with open(out / "timing.json", "w", encoding="utf-8") as fh:
         json.dump({"elapsed_seconds": report.elapsed_seconds}, fh)
         fh.write("\n")
-
-
-def load_relaxed_centers(path, bits: int, classes: int) -> np.ndarray:
-    """Read a centers.v.f64 sidecar back into a K x M matrix."""
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size != bits * classes:
-        raise ValueError(
-            f"{path}: expected {bits * classes} float64 values, got {raw.size}"
-        )
-    return raw.reshape(classes, bits).T.copy()
 
 
 def loss_curve_rows(m_values, d_min: float = -8.0, d_max: float = 8.0, points: int = 161):

@@ -978,6 +978,8 @@ class TestFuzzedInputs:
         "index": ["db.fhsh", "db_labels.txt"],
         "query": ["index/index.json", "index/codes.fhsh", "index/labels.txt", "q.fhsh"],
         "eval": ["db.fhsh", "db_labels.txt", "q.fhsh", "q_labels.txt"],
+        "train": ["manifest.json", "data.fhft", "data_labels.txt", "cfg.json"],
+        "ablate": ["manifest.json", "data.fhft", "data_labels.txt", "cfg.json"],
     }
     ARGV = {
         "encode": ["--checkpoint", "enc.fhnn", "--features", "x.fhft"],
@@ -985,7 +987,32 @@ class TestFuzzedInputs:
         "query": ["--index", "index", "--queries", "q.fhsh", "--k", "2"],
         "eval": ["--db-codes", "db.fhsh", "--db-labels", "db_labels.txt", "--query-codes",
                  "q.fhsh", "--query-labels", "q_labels.txt", "--classes", "3", "--ks", "1,5"],
+        "train": ["--config", "cfg.json"],
+        "ablate": ["--config", "cfg.json"],
     }
+
+    @staticmethod
+    def write_training_inputs(tmp_path):
+        """A manifest dataset of 2 classes x 8 items in dim 3, and a config
+        that trains it at 2 bits for 1 epoch and ablates one seed and one
+        variant.  The config's numbers are single digits, so a damaged
+        config still trains in milliseconds."""
+        labels = np.repeat([0, 1], 8)
+        features = np.random.default_rng(0).normal(size=(3, 16)) + 3 * labels
+        write_features(tmp_path / "data.fhft", features)
+        write_labels(tmp_path / "data_labels.txt", [{int(c)} for c in labels])
+        save_manifest(DatasetManifest(
+            name="d", feature_path="data.fhft", label_path="data_labels.txt", input_dim=3,
+            n_items=16, num_classes=2, splits={"train": [*range(6), *range(8, 14)],
+                                               "query": [6, 7, 14, 15]},
+        ), tmp_path / "manifest.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "dataset": {"manifest": "manifest.json"},
+            "hyper": {"bits": 2, "epochs": 1, "batch_size": 8, "center_inner_steps": 2,
+                      "center_rounds": 1},
+            "encoder": {"hidden_layers": [[4, "relu"]]},
+            "ablate": {"seeds": [0], "variants": ["full"]},
+        }), encoding="utf-8")
 
     @pytest.mark.parametrize("command", list(INPUTS))
     def test_damaged_inputs_exit_0_2_3_or_4(self, tmp_path, monkeypatch, capsys, command):
@@ -997,6 +1024,9 @@ class TestFuzzedInputs:
         write_features(tmp_path / "x.fhft", rng.normal(size=(4, 3)))
         assert run_cli("index", "--codes", "db.fhsh", "--labels", "db_labels.txt",
                        "--classes", "3", "--out", "index") == 0
+        self.write_training_inputs(tmp_path)
+        assert run_cli(command, *self.ARGV[command], "--out", "o") == 0
+        shutil.rmtree(tmp_path / "o")
         codes = set()
         for name in self.INPUTS[command]:
             path = tmp_path / name

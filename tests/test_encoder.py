@@ -194,11 +194,6 @@ class TestSGDStep:
 
 
 class TestStateAndCheckpoint:
-    def test_param_count(self):
-        spec = EncoderSpec(input_dim=7, output_dim=4, hidden_layers=((5, "relu"), (3, "tanh")))
-        state = init_state(spec)
-        assert state.num_params == (7 + 1) * 5 + (5 + 1) * 3 + (3 + 1) * 4
-
     def test_roundtrip_bit_identical(self, tmp_path):
         spec = EncoderSpec(input_dim=6, output_dim=3, hidden_layers=((4, "tanh"),), seed=12)
         state = init_state(spec)

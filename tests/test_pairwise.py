@@ -390,10 +390,19 @@ class TestCodePairLoss:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_on_dense_codes(self, instance):
         b, label_sets, m, rows = instance
-        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", rows * b.groups().codes.n):
+        n_codes = b.groups().codes.n
+        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", rows * n_codes):
             got = _code_loss(b, label_sets, m)
         want = reference_pair_loss_full(dense_signs(b), label_sets, m)
         assert got == pytest.approx(want, rel=1e-12)
+        # The pair counts are exact integers, so the row blocks change no
+        # bit: one block of every code, and a bound of a few entries, which
+        # gives one code per block.
+        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", n_codes * n_codes):
+            one_block = _code_loss(b, label_sets, m)
+        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", 3):
+            one_row_blocks = _code_loss(b, label_sets, m)
+        assert got == one_block == one_row_blocks
 
     def test_three_items_by_hand(self):
         # K = 2, codes ++, +-, --; labels {0}, {0, 1}, {1}; m = 1.  Pairs

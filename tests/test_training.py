@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from fisherhash import training
-from fisherhash.binary_codes import BinaryCodeMatrix
-from fisherhash.centers import intra_loss, quant_loss, target_matrix, update_codes
-from fisherhash.datasets import make_synthetic
+from fisherhash.binary_codes import BinaryCodeMatrix, dense_signs
+from fisherhash.centers import inter_loss, intra_loss, quant_loss, target_matrix, update_codes
+from fisherhash.datasets import distinct_label_sets, make_synthetic, relevance_matrix
 from fisherhash.encoder import EncoderSpec, forward, load_checkpoint
-from fisherhash.pairwise import MarginParams, PairSets, pair_gradient, pair_objective
+from fisherhash.pairwise import MarginParams, PairSets, pair_gradient, pair_objective, sign_matrix
 from fisherhash.training import (
     HyperParams,
     TrainReport,
     continuous_step_gradient,
-    joint_objective,
     loss_curve_rows,
     pair_loss_full,
     train,
@@ -52,15 +51,21 @@ class TestHyperParams:
 
 
 class TestJointObjective:
+    """The joint objective is HyperParams.weighted_total of the four loss blocks."""
+
     def test_quant_only_zero_when_codes_match(self):
         signs = np.ones((3, 4))
         b = BinaryCodeMatrix.from_signs(signs)
         c = BinaryCodeMatrix.from_signs(np.ones((3, 2)))
         y = np.tile([[1.0], [0.0]], (1, 4))
         hp = HyperParams(bits=3, epochs=0, phi=0.0, mu=0.0, nu=0.0)
-        total, comps = joint_objective(signs.astype(float), b, c, y, PairSets(), hp)
+        u = signs.astype(float)
+        quant = quant_loss(b, u)
+        total = hp.weighted_total(
+            pair_objective(u, b, PairSets(), MarginParams(m=hp.margin, psi=0.0)),
+            intra_loss(b, c, y), inter_loss(c, target_matrix(3, 2)), quant)
         assert total == 0.0
-        assert comps["quant"] == 0.0
+        assert quant == 0.0
 
     def test_components_match_module_operations(self):
         rng = np.random.default_rng(0)
@@ -73,15 +78,12 @@ class TestJointObjective:
         y[labels, np.arange(n)] = 1.0
         pairs = PairSets.all_pairs_from_label_sets([frozenset({int(c_)}) for c_ in labels])
         hp = HyperParams(bits=k, epochs=0, phi=0.7, mu=1.3, nu=0.2, margin=1.0)
-        total, comps = joint_objective(u, b, c, y, pairs, hp)
-        from fisherhash.centers import inter_loss
-        assert comps["pair"] == pair_objective(u, b, pairs, MarginParams(m=1.0, psi=0.0))
-        assert comps["intra"] == intra_loss(b, c, y)
-        assert comps["inter"] == inter_loss(c, target_matrix(k, m))
-        assert comps["quant"] == quant_loss(b, u)
-        assert total == pytest.approx(
-            0.7 * comps["pair"] + 1.3 * comps["intra"] + 0.2 * comps["inter"] + comps["quant"],
-            rel=1e-15,
+        pair = pair_objective(u, b, pairs, MarginParams(m=1.0, psi=0.0))
+        intra = intra_loss(b, c, y)
+        inter = inter_loss(c, target_matrix(k, m))
+        quant = quant_loss(b, u)
+        assert hp.weighted_total(pair, intra, inter, quant) == pytest.approx(
+            0.7 * pair + 1.3 * intra + 0.2 * inter + quant, rel=1e-15,
         )
 
     def test_hand_built_two_item_instance(self):
@@ -96,11 +98,15 @@ class TestJointObjective:
         want_pair = np.log1p(np.exp(-d01))
         want_quant = (0.5 - 1.0) ** 2 + (-0.5 + 1.0) ** 2
         want_inter = 2 * ((-1 * 1 + -1 * 1) + 2) ** 2  # <c0,c1> = -2 = -K exactly
-        total, comps = joint_objective(u, b_signs, c_signs, y, pairs, hp)
-        assert comps["pair"] == pytest.approx(want_pair, rel=1e-12)
-        assert comps["intra"] == 0.0
-        assert comps["inter"] == pytest.approx(want_inter, abs=1e-12)
-        assert comps["quant"] == pytest.approx(want_quant, rel=1e-12)
+        pair = pair_objective(u, b_signs, pairs, MarginParams(m=hp.margin, psi=0.0))
+        intra = intra_loss(b_signs, c_signs, y)
+        inter = inter_loss(c_signs, target_matrix(2, 2))
+        quant = quant_loss(b_signs, u)
+        assert pair == pytest.approx(want_pair, rel=1e-12)
+        assert intra == 0.0
+        assert inter == pytest.approx(want_inter, abs=1e-12)
+        assert quant == pytest.approx(want_quant, rel=1e-12)
+        total = hp.weighted_total(pair, intra, inter, quant)
         assert total == pytest.approx(want_pair + want_quant, rel=1e-12)
 
 
@@ -124,11 +130,10 @@ class TestContinuousStepGradient:
         n = 10
         u = rng.normal(size=(4, n))
         signs = rng.choice([-1, 1], size=(4, n))
-        b = BinaryCodeMatrix.from_signs(signs)
         label_sets = [frozenset({int(c)}) for c in rng.integers(0, 3, size=n)]
         pairs = PairSets.all_pairs_from_label_sets(label_sets)
         hp = HyperParams(bits=4, epochs=1, phi=0.8, mu=0.0, nu=0.0, margin=0.0)
-        got = continuous_step_gradient(u, b, pairs, hp)
+        got = continuous_step_gradient(u, signs.astype(float), sign_matrix(pairs, n), hp)
         classical = (
             0.8 * pair_gradient(u, signs, pairs, MarginParams(m=0.0, psi=0.0)) / pairs.count
             + 2.0 * (u - signs) / n
@@ -138,10 +143,42 @@ class TestContinuousStepGradient:
     def test_pair_flag_off_leaves_quant_pull(self):
         u = np.zeros((2, 4))
         signs = np.ones((2, 4))
-        b = BinaryCodeMatrix.from_signs(signs)
         hp = HyperParams(bits=2, epochs=1, phi=0.0)
-        got = continuous_step_gradient(u, b, PairSets(), hp)
+        got = continuous_step_gradient(u, signs, sign_matrix(PairSets(), 4), hp)
         np.testing.assert_allclose(got, 2.0 * (u - signs) / 4)
+
+    @pytest.mark.parametrize("case", ["random", "phi-zero", "one-item", "one-class"])
+    def test_matches_step_on_codes_and_pair_sets(self, case):
+        # The step on train's dense codes and sign matrix equals, bit for
+        # bit, the quantization pull plus the pair gradient taken on the
+        # packed codes and the explicit pair sets of the same batch.
+        rng = np.random.default_rng(["random", "phi-zero", "one-item", "one-class"].index(case))
+        for _ in range(25):
+            k = int(rng.integers(1, 70))
+            n = 1 if case == "one-item" else int(rng.integers(2, 40))
+            classes = 1 if case == "one-class" else int(rng.integers(2, 6))
+            label_sets = [frozenset(int(c) for c in rng.choice(classes, rng.integers(1, classes + 1),
+                                                                 replace=False))
+                          for _ in range(n)]
+            u = rng.normal(scale=rng.uniform(0.1, 4.0), size=(k, n))
+            b = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(k, n)))
+            phi = 0.0 if case == "phi-zero" else float(rng.uniform(0.1, 4.0))
+            hp = HyperParams(bits=k, epochs=1, phi=phi, margin=float(rng.uniform(0.0, 3.0)))
+            # The batch's pair signs as train builds them, from the meet table.
+            sets, set_of = distinct_label_sets(label_sets)
+            s = np.where(relevance_matrix(sets, sets)[np.ix_(set_of, set_of)], 1.0, -1.0)
+            np.fill_diagonal(s, 0.0)
+            pairs = PairSets.all_pairs_from_label_sets(label_sets)
+            assert np.array_equal(s, sign_matrix(pairs, n))
+            if case == "one-class":
+                assert pairs.dissimilar.size == 0
+
+            got = continuous_step_gradient(u, b.dense(np.float64), s, hp)
+            want = 2.0 * (u - dense_signs(b)) / n
+            if hp.phi > 0 and pairs.count:
+                pair_part = pair_gradient(u, b, pairs, MarginParams(m=hp.margin, psi=0.0))
+                want = want + hp.phi * pair_part / pairs.count
+            assert np.array_equal(got, want)
 
 
 class TestDiscreteProgress:
@@ -266,8 +303,7 @@ class TestTrain:
             assert (tmp_path / name).exists(), name
         # the relaxed-center sidecar quantizes back to the saved centers
         from fisherhash.centers import sign_plus
-        from fisherhash.training import load_relaxed_centers
-        v = load_relaxed_centers(tmp_path / "centers.v.f64", bits=2, classes=2)
+        v = np.fromfile(tmp_path / "centers.v.f64", "<f8").reshape(2, 2).T
         cents = BinaryCodeMatrix.load(tmp_path / "centers.fhsh")
         np.testing.assert_array_equal(sign_plus(v), cents.dense(np.float64))
         # recompute the final-epoch components offline from artifacts
@@ -277,13 +313,17 @@ class TestTrain:
         train_idx = ds.split("train")
         u, _ = forward(state, ds.features[:, train_idx])
         pairs = PairSets.all_pairs_from_label_sets(ds.subset_labels(train_idx))
-        total, comps = joint_objective(u, codes, cents, ds.y_matrix(train_idx), pairs, hp)
+        y = ds.y_matrix(train_idx)
+        pair = pair_objective(u, codes, pairs, MarginParams(m=hp.margin, psi=0.0))
+        intra = intra_loss(codes, cents, y)
+        inter = inter_loss(cents, target_matrix(hp.bits, y.shape[0]))
+        quant = quant_loss(codes, u)
         last = report.records[-1]
-        assert last.pair_loss == pytest.approx(comps["pair"], abs=1e-9)
-        assert last.intra_loss == pytest.approx(comps["intra"], abs=1e-9)
-        assert last.inter_loss == pytest.approx(comps["inter"], abs=1e-9)
-        assert last.quant_loss == pytest.approx(comps["quant"], abs=1e-9)
-        assert last.total == pytest.approx(total, abs=1e-9)
+        assert last.pair_loss == pytest.approx(pair, abs=1e-9)
+        assert last.intra_loss == pytest.approx(intra, abs=1e-9)
+        assert last.inter_loss == pytest.approx(inter, abs=1e-9)
+        assert last.quant_loss == pytest.approx(quant, abs=1e-9)
+        assert last.total == pytest.approx(hp.weighted_total(pair, intra, inter, quant), abs=1e-9)
 
     @pytest.mark.parametrize("knob", [{"momentum": 0.9}, {"weight_decay": 0.05}],
                              ids=["momentum", "weight-decay"])
