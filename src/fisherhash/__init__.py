@@ -9,7 +9,6 @@ from .binary_codes import (
     unpack,
 )
 from .centers import (
-    CenterHyper,
     init_centers,
     inter_loss,
     intra_loss,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryCodeMatrix",
-    "CenterHyper",
     "ConfigError",
     "DataError",
     "Dataset",

@@ -12,8 +12,6 @@ by mu * C y before sign quantization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .binary_codes import BinaryCodeMatrix, dense_signs
@@ -37,35 +35,6 @@ def check_label_matrix(y: np.ndarray) -> np.ndarray:
         bad = int(np.argmax(np.abs(sums - 1.0)))
         raise ValueError(f"label column {bad} sums to {sums[bad]}, expected 1")
     return y
-
-
-@dataclass(frozen=True)
-class CenterHyper:
-    """Weights and schedule for the relaxed center updates.
-
-    mu weighs the code-to-center pull, nu the center-separation term,
-    eta the pull of V toward its own sign pattern.  update_centers
-    divides the mu term by the number of items, so the inner step size
-    does not depend on dataset size, and the nu term by K*M, its natural
-    gradient scale, which keeps the descent stable across code lengths
-    and class counts.
-    """
-
-    mu: float = 1.0
-    nu: float = 0.1
-    eta: float = 0.5
-    inner_lr: float = 1e-2
-    inner_steps: int = 20
-    rounds: int = 3
-
-    def __post_init__(self):
-        for name in ("mu", "nu", "eta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.inner_lr <= 0:
-            raise ValueError("inner_lr must be > 0")
-        if self.inner_steps < 1 or self.rounds < 1:
-            raise ValueError("inner_steps and rounds must be >= 1")
 
 
 def target_matrix(k: int, m: int) -> np.ndarray:
@@ -126,14 +95,18 @@ def center_gradient(v, b, y, a, mu: float, nu: float, eta: float) -> np.ndarray:
 
 
 def update_centers(
-    v: np.ndarray, b, y: np.ndarray, a: np.ndarray, h: CenterHyper
+    v: np.ndarray, b, y: np.ndarray, a: np.ndarray,
+    mu: float, nu: float, eta: float, lr: float, steps: int,
 ) -> tuple[np.ndarray, BinaryCodeMatrix]:
     """Descend the relaxed centers V, then quantize to binary centers.
 
-    Runs h.inner_steps plain gradient steps of center_gradient with mu
-    scaled by 1/N and nu by 1/(K*M) (see CenterHyper); the sign pattern
-    in the eta term is re-evaluated every step but treated as constant
-    within it.  Returns the new V and C = sgn(V).
+    Runs `steps` plain gradient steps of size lr on center_gradient,
+    with mu divided by the number of items N, so the step size does not
+    depend on dataset size, and nu by K*M, the natural gradient scale of
+    the separation term, which keeps the descent stable across code
+    lengths and class counts.  The sign pattern in the eta term is
+    re-evaluated every step but treated as constant within it.  Returns
+    the new V and C = sgn(V).
     """
     v = np.asarray(v, dtype=np.float64).copy()
     bd = dense_signs(b)
@@ -143,16 +116,16 @@ def update_centers(
         raise ValueError(
             f"inconsistent shapes: V {v.shape}, B {bd.shape}, Y {y.shape}"
         )
-    mu = h.mu / bd.shape[1]
-    nu = h.nu / (k * m)
+    mu = mu / bd.shape[1]
+    nu = nu / (k * m)
     # Divergence is detected and raised explicitly, so transient
     # overflow warnings from a blown-up step are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(h.inner_steps):
-            v -= h.inner_lr * center_gradient(v, bd, y, a, mu, nu, h.eta)
+        for step in range(steps):
+            v -= lr * center_gradient(v, bd, y, a, mu, nu, eta)
             if not np.isfinite(v).all():
                 raise NumericalError(f"center update diverged at inner step {step}")
-    return v, BinaryCodeMatrix.from_values(sign_plus(v))
+    return v, BinaryCodeMatrix.from_values(v)
 
 
 def update_codes(u: np.ndarray, c, y: np.ndarray, mu: float) -> BinaryCodeMatrix:

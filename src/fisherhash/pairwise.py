@@ -28,12 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binary_codes import BinaryCodeMatrix, dense_signs, hamming_cross
-from .datasets import distinct_label_sets, relevance_matrix
 
 # Upper bound on code_pair_loss's distance block, in entries.  Each block
 # also holds two float64 count products of the same size, so this keeps
 # the scratch at a few MB where the distinct codes are many.
 _BLOCK_ENTRIES = 250_000
+
+# Side of pair_loss_full's square Gram blocks: each float64 temporary is
+# 128 KB, and a block's few of them stay in L2.
+_GRAM_BLOCK = 128
 
 
 def softplus(x):
@@ -211,31 +214,28 @@ def pair_gradient(u: np.ndarray, b, pairs, params: MarginParams) -> np.ndarray:
     return 2.0 * params.psi * (u - bd) + u @ coef
 
 
-def pair_loss_full(u: np.ndarray, label_sets, margin: float, block: int = 128) -> float:
+def pair_loss_full(u: np.ndarray, set_of: np.ndarray, meet: np.ndarray, margin: float) -> float:
     """Sum of pair losses over all unordered pairs of the columns of u, in
     upper-triangle Gram blocks, without materializing the pair sets.
 
-    Only the loss is computed.  The Gram entries are scaled by -1/2
-    where the two items' label sets meet and +1/2 where they do not, a
-    scale read off the one table of which sets meet
-    (datasets.relevance_matrix), one row block at a time.  The signed
-    dissimilarities are shifted by the margin and passed through
-    softplus in place.  No Gram entry exceeds the larger squared norm of
-    its two items, so the inputs are checked once, on those norms.  At
-    the default block each float64 temporary is 128 KB and a block's few
-    of them stay in L2.
+    set_of and meet are as in code_pair_loss.  Only the loss is
+    computed.  The Gram entries are scaled by -1/2 where the two items'
+    label sets meet and +1/2 where they do not, one row block at a time.
+    The signed dissimilarities are shifted by the margin and passed
+    through softplus in place.  No Gram entry exceeds the larger squared
+    norm of its two items, so the inputs are checked once, on those
+    norms.
     """
-    sets, ids = distinct_label_sets(label_sets)
-    scale = np.where(relevance_matrix(sets, sets), -0.5, 0.5)
+    scale = np.where(meet, -0.5, 0.5)
     ut = np.ascontiguousarray(u.T)
     _check_finite(np.einsum("ij,ij->i", ut, ut), margin)
-    n = len(ids)
+    n, block = len(set_of), _GRAM_BLOCK
     total = 0.0
     for bi in range(0, n, block):
-        row_scale = scale[ids[bi:bi + block]]
+        row_scale = scale[set_of[bi:bi + block]]
         for bj in range(bi, n, block):
             z = ut[bi:bi + block] @ ut[bj:bj + block].T
-            z *= row_scale[:, ids[bj:bj + block]]
+            z *= row_scale[:, set_of[bj:bj + block]]
             z += margin
             _softplus_inplace(z)
             total += float((np.triu(z, 1) if bi == bj else z).sum())

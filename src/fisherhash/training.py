@@ -24,7 +24,7 @@ import numpy as np
 from . import centers as centers_mod
 from . import encoder as encoder_mod
 from .binary_codes import BinaryCodeMatrix
-from .centers import CenterHyper, init_centers, target_matrix, update_centers, update_codes
+from .centers import init_centers, target_matrix, update_centers, update_codes
 from .datasets import Dataset, check_number, distinct_label_sets, relevance_matrix, write_json
 from .evaluation import metrics_report
 from .exceptions import NumericalError
@@ -81,16 +81,6 @@ class HyperParams:
             raise ValueError("center_inner_lr must be > 0")
         if self.center_inner_steps < 1 or self.center_rounds < 1:
             raise ValueError("center_inner_steps and center_rounds must be >= 1")
-
-    def center_hyper(self) -> CenterHyper:
-        return CenterHyper(
-            mu=self.mu,
-            nu=self.nu,
-            eta=self.eta,
-            inner_lr=self.center_inner_lr,
-            inner_steps=self.center_inner_steps,
-            rounds=self.center_rounds,
-        )
 
     def weighted_total(self, pair: float, intra: float, inter: float, quant: float) -> float:
         """The joint objective from its raw blocks: phi, mu and nu weigh
@@ -176,9 +166,9 @@ def _discrete_phase(u_full, y, v, hp: HyperParams, a):
     b = BinaryCodeMatrix.from_values(u_full)
     if v is None:
         v = init_centers(u_full, y)
-    ch = hp.center_hyper()
-    for _ in range(ch.rounds):
-        v, c = update_centers(v, b, y, a, ch)
+    for _ in range(hp.center_rounds):
+        v, c = update_centers(v, b, y, a, hp.mu, hp.nu, hp.eta,
+                              hp.center_inner_lr, hp.center_inner_steps)
         b = update_codes(u_full, c, y, hp.mu)
     return b, c, v
 
@@ -251,7 +241,7 @@ def train(
             centers_mod.inter_loss(c, a), centers_mod.quant_loss(b, u_full),
         )
         if epoch == hp.epochs - 1:
-            record.pair_loss = pair_loss_full(u_full, label_sets, hp.margin)
+            record.pair_loss = pair_loss_full(u_full, set_of, meet, hp.margin)
             record.total = hp.weighted_total(
                 record.pair_loss, record.intra_loss, record.inter_loss, record.quant_loss)
         if not np.isfinite(list(record.as_dict().values())).all():
@@ -261,7 +251,7 @@ def train(
     if hp.epochs == 0:
         # Degenerate run: codes are the sign pattern of the untrained encoder.
         v = init_centers(u_full, y)
-        c = BinaryCodeMatrix.from_values(centers_mod.sign_plus(v))
+        c = BinaryCodeMatrix.from_values(v)
     train_metrics = metrics_report(
         b, b, label_sets, label_sets, ks=[b.n], num_classes=dataset.num_classes, max_n=1
     )

@@ -3,7 +3,6 @@ import pytest
 
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.centers import (
-    CenterHyper,
     center_gradient,
     check_label_matrix,
     init_centers,
@@ -178,8 +177,8 @@ class TestUpdateCenters:
         v = np.array([[1.0, -1.0], [-1.0, -1.0]])
         y = one_hot([0, 1], 2)
         b = BinaryCodeMatrix.from_signs(v)
-        h = CenterHyper(mu=0.0, nu=0.0, eta=2.0, inner_steps=50)
-        v2, c2 = update_centers(v, b, y, target_matrix(2, 2), h)
+        v2, c2 = update_centers(v, b, y, target_matrix(2, 2),
+                                mu=0.0, nu=0.0, eta=2.0, lr=1e-2, steps=50)
         np.testing.assert_array_equal(v2, v)
         np.testing.assert_array_equal(c2.dense(np.float64), v)
 
@@ -192,8 +191,8 @@ class TestUpdateCenters:
         b = BinaryCodeMatrix.from_signs(signs)
         means = np.stack([signs[:, labels == c].mean(axis=1) for c in range(m)], axis=1)
         v0 = rng.normal(size=(k, m))
-        h = CenterHyper(mu=1.0, nu=0.0, eta=0.0, inner_lr=0.5, inner_steps=400)
-        v2, _ = update_centers(v0, b, y, target_matrix(k, m), h)
+        v2, _ = update_centers(v0, b, y, target_matrix(k, m),
+                               mu=1.0, nu=0.0, eta=0.0, lr=0.5, steps=400)
         np.testing.assert_allclose(v2, means, atol=1e-8)
 
     def test_divergence_reports_step_index(self):
@@ -201,9 +200,25 @@ class TestUpdateCenters:
         v = rng.normal(size=(4, 2)) * 10
         b = BinaryCodeMatrix.from_signs(np.ones((4, 6)))
         y = one_hot([0, 1, 0, 1, 0, 1], 2)
-        h = CenterHyper(mu=1.0, nu=5.0, eta=0.0, inner_lr=1e6, inner_steps=200)
         with pytest.raises(NumericalError, match="step"):
-            update_centers(v, b, y, target_matrix(4, 2), h)
+            update_centers(v, b, y, target_matrix(4, 2),
+                           mu=1.0, nu=5.0, eta=0.0, lr=1e6, steps=200)
+
+    def test_duplicating_every_item_leaves_the_descent_unchanged(self):
+        # The mu term is divided by the item count, so stacking every
+        # column of B and Y twice doubles the pull and halves its weight.
+        rng = np.random.default_rng(12)
+        k, m, n = 8, 3, 30
+        y = one_hot(rng.integers(0, m, size=n), m)
+        signs = rng.choice([-1.0, 1.0], size=(k, n))
+        v0 = rng.normal(size=(k, m))
+        knobs = dict(mu=1.0, nu=0.1, eta=0.5, lr=1e-2, steps=20)
+        v1, c1 = update_centers(v0, BinaryCodeMatrix.from_signs(signs), y,
+                                target_matrix(k, m), **knobs)
+        v2, c2 = update_centers(v0, BinaryCodeMatrix.from_signs(np.hstack([signs, signs])),
+                                np.hstack([y, y]), target_matrix(k, m), **knobs)
+        np.testing.assert_allclose(v2, v1, rtol=0, atol=1e-12)
+        assert c2 == c1
 
 
 class TestUpdateCodes:

@@ -260,7 +260,8 @@ class TestKernelAgainstPerPairOracle:
         s = sign_matrix(pairs, u.shape[1])
         np.testing.assert_array_equal(pair_gradient(u, b, s, params), got_grad)
         want_full = per_pair_objective(u, signs, every, params.m, 0.0)
-        got_full = pair_loss_full(u, label_sets, params.m, block=block)
+        with mock.patch.object(pairwise, "_GRAM_BLOCK", block):
+            got_full = _full_loss(u, label_sets, params.m)
         assert got_full == pytest.approx(want_full, rel=1e-12, abs=1e-12)
 
 
@@ -299,7 +300,8 @@ class TestFullLossAgainstBlockedOracle:
     def test_matches_sign_matrix_version(self, instance):
         u, label_sets, m, block = instance
         want = reference_pair_loss_full(u, label_sets, m, block=block)
-        assert pair_loss_full(u, label_sets, m, block=block) == pytest.approx(want, rel=1e-12)
+        with mock.patch.object(pairwise, "_GRAM_BLOCK", block):
+            assert _full_loss(u, label_sets, m) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "gram_overflow"])
     def test_non_finite_rejected_in_ragged_last_block(self, bad):
@@ -309,8 +311,9 @@ class TestFullLossAgainstBlockedOracle:
         u = rng.normal(size=(3, 10))
         u[:, 9] = bad
         label_sets = [frozenset({i % 3}) for i in range(10)]
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="finite"):
-            pair_loss_full(u, label_sets, 1.0, block=4)
+        with np.errstate(invalid="ignore", over="ignore"), mock.patch.object(pairwise, "_GRAM_BLOCK", 4):
+            with pytest.raises(ValueError, match="finite"):
+                _full_loss(u, label_sets, 1.0)
 
 
 def _labels(case, rng):
@@ -347,7 +350,13 @@ class TestGroupedFullLoss:
         u = rng.normal(size=(12, len(label_sets)))
         for m in (0.0, 1.0):
             want = reference_pair_loss_full(u, label_sets, m, block=block)
-            assert pair_loss_full(u, label_sets, m, block=block) == pytest.approx(want, rel=1e-12)
+            with mock.patch.object(pairwise, "_GRAM_BLOCK", block):
+                assert _full_loss(u, label_sets, m) == pytest.approx(want, rel=1e-12)
+
+
+def _full_loss(u, label_sets, m):
+    sets, set_of = distinct_label_sets(label_sets)
+    return pair_loss_full(u, set_of, relevance_matrix(sets, sets), m)
 
 
 def _code_loss(b, label_sets, m):

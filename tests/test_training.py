@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from fisherhash import training
+from fisherhash import pairwise, training
 from fisherhash.binary_codes import BinaryCodeMatrix, dense_signs
 from fisherhash.centers import inter_loss, intra_loss, quant_loss, target_matrix, update_codes
 from fisherhash.datasets import distinct_label_sets, make_synthetic, relevance_matrix
@@ -16,6 +18,8 @@ from fisherhash.training import (
     train,
     write_loss_curves,
 )
+
+from test_pairwise import _full_loss
 
 
 def tiny_hp(**overrides):
@@ -118,7 +122,8 @@ class TestPairLossFull:
         label_sets = [frozenset({int(c)}) for c in rng.integers(0, 4, size=n)]
         pairs = PairSets.all_pairs_from_label_sets(label_sets)
         want = pair_objective(u, np.zeros((6, n)), pairs, MarginParams(m=1.5, psi=0.0))
-        got = pair_loss_full(u, label_sets, margin=1.5, block=8)
+        with mock.patch.object(pairwise, "_GRAM_BLOCK", 8):
+            got = _full_loss(u, label_sets, 1.5)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -325,14 +330,22 @@ class TestTrain:
         assert last.quant_loss == pytest.approx(quant, abs=1e-9)
         assert last.total == pytest.approx(hp.weighted_total(pair, intra, inter, quant), abs=1e-9)
 
-    @pytest.mark.parametrize("knob", [{"momentum": 0.9}, {"weight_decay": 0.05}],
-                             ids=["momentum", "weight-decay"])
-    def test_sgd_knob_changes_the_checkpoint_reproducibly(self, tmp_path, knob):
+    @pytest.mark.parametrize("knob, artifact", [
+        ({"momentum": 0.9}, "encoder.fhnn"),
+        ({"weight_decay": 0.05}, "encoder.fhnn"),
+        ({"center_rounds": 3}, "centers.v.f64"),
+        ({"center_inner_steps": 20}, "centers.v.f64"),
+        ({"center_inner_lr": 0.05}, "centers.v.f64"),
+        ({"eta": 0.1}, "centers.v.f64"),
+    ], ids=["momentum", "weight-decay", "center-rounds", "center-inner-steps", "center-inner-lr", "eta"])
+    def test_sgd_knob_changes_the_checkpoint_reproducibly(self, tmp_path, knob, artifact):
+        # The SGD knobs move the encoder; the center schedule and eta move
+        # the relaxed centers.
         ds = self.dataset()
 
         def checkpoint(run, **overrides):
             train(ds, tiny_hp(**overrides), self.spec(ds), out_dir=tmp_path / run)
-            return (tmp_path / run / "encoder.fhnn").read_bytes()
+            return (tmp_path / run / artifact).read_bytes()
 
         first = checkpoint("first", **knob)
         assert checkpoint("again", **knob) == first
