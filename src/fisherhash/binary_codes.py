@@ -126,9 +126,9 @@ class BinaryCodeMatrix:
     def dense(self, dtype=np.int8) -> np.ndarray:
         """Unpack to a K x N array of -1/+1 entries."""
         byte_view = np.ascontiguousarray(self.words).view(np.uint8)
-        bits = np.unpackbits(byte_view, axis=-1, bitorder="little")[:, : self.K]
-        out = bits.T.astype(dtype)
-        return out * 2 - 1
+        bits = np.unpackbits(byte_view, axis=-1, count=self.K, bitorder="little").view(np.int8)
+        # F-ordered K x N, the layout whose bits callers' BLAS products were fixed on.
+        return (bits * 2 - 1).T.astype(dtype)
 
     def groups(self) -> CodeGroups:
         """The items grouped by code; computed on the first call, then cached.

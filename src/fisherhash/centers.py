@@ -84,14 +84,14 @@ def center_gradient(v, b, y, a, mu: float, nu: float, eta: float) -> np.ndarray:
 
         2 mu (V Y - B) Y^T + 4 nu V (V^T V - A) + 2 eta (V - sgn(V)).
     """
-    v = np.asarray(v, dtype=np.float64)
-    bd = dense_signs(b)
-    y = np.asarray(y, dtype=np.float64)
-    return (
-        2.0 * mu * (v @ y - bd) @ y.T
-        + 4.0 * nu * v @ (v.T @ v - a)
-        + 2.0 * eta * (v - sign_plus(v))
-    )
+    v, y = np.asarray(v, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return _gram_gradient(v, y @ y.T, dense_signs(b) @ y.T, a, mu, nu, eta)
+
+
+def _gram_gradient(v, g, by, a, mu, nu, eta) -> np.ndarray:
+    """center_gradient from G = Y Y^T (M x M) and BY = B Y^T (K x M)."""
+    return (2.0 * mu * (v @ g - by) + 4.0 * nu * v @ (v.T @ v - a)
+            + 2.0 * eta * (v - sign_plus(v)))
 
 
 def update_centers(
@@ -105,8 +105,10 @@ def update_centers(
     depend on dataset size, and nu by K*M, the natural gradient scale of
     the separation term, which keeps the descent stable across code
     lengths and class counts.  The sign pattern in the eta term is
-    re-evaluated every step but treated as constant within it.  Returns
-    the new V and C = sgn(V).
+    re-evaluated every step but treated as constant within it.  B and Y
+    enter only through the Grams Y Y^T and B Y^T, summed over the N items
+    once per call, so a step costs O(K M^2), not O(K M N).  Returns the
+    new V and C = sgn(V).
     """
     v = np.asarray(v, dtype=np.float64).copy()
     bd = dense_signs(b)
@@ -116,13 +118,14 @@ def update_centers(
         raise ValueError(
             f"inconsistent shapes: V {v.shape}, B {bd.shape}, Y {y.shape}"
         )
+    g, by = y @ y.T, bd @ y.T
     mu = mu / bd.shape[1]
     nu = nu / (k * m)
     # Divergence is detected and raised explicitly, so transient
     # overflow warnings from a blown-up step are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            v -= lr * center_gradient(v, bd, y, a, mu, nu, eta)
+            v -= lr * _gram_gradient(v, g, by, a, mu, nu, eta)
             if not np.isfinite(v).all():
                 raise NumericalError(f"center update diverged at inner step {step}")
     return v, BinaryCodeMatrix.from_values(v)

@@ -164,7 +164,7 @@ def sign_matrix(pairs, n: int) -> np.ndarray:
     s = np.asarray(pairs, dtype=np.float64)
     if s.shape != (n, n):
         raise ValueError(f"sign matrix shape {s.shape} does not match ({n}, {n})")
-    if not np.isin(s, (-1.0, 0.0, 1.0)).all() or (s != s.T).any() or s.diagonal().any():
+    if not ((s == 0.0) | (np.abs(s) == 1.0)).all() or (s != s.T).any() or s.diagonal().any():
         raise ValueError("sign matrix must be symmetric with entries in {-1, 0, 1} and a zero diagonal")
     return s
 
@@ -175,9 +175,14 @@ def _pair_coef(d: np.ndarray, s: np.ndarray, m: float) -> np.ndarray:
     d holds dissimilarities -1/2 <u_i, u_j> and s the matching signs;
     sigma takes the stable branch per sign of its argument.
     """
-    z = s * d + m
-    e = np.exp(-np.abs(z))
-    return -0.5 * s * np.where(z >= 0, 1.0, e) / (1.0 + e)
+    z = s * d
+    z += m
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    coef = -0.5 * s
+    coef *= np.where(z >= 0, 1.0, e)
+    coef /= np.add(e, 1.0, out=e)
+    return coef
 
 
 def _pair_inputs(u, b, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

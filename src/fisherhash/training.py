@@ -202,6 +202,7 @@ def train(
     y = dataset.y_matrix(train_idx)
     sets, set_of = distinct_label_sets(label_sets)
     meet = relevance_matrix(sets, sets, dataset.num_classes)
+    signs = np.where(meet, 1.0, -1.0)
     n = x.shape[1]
     a = target_matrix(hp.bits, dataset.num_classes)
 
@@ -222,7 +223,8 @@ def train(
             for start in range(0, n, hp.batch_size):
                 idx = perm[start : start + hp.batch_size]
                 u_batch, cache = encoder_mod.forward(state, x[:, idx])
-                s = np.where(meet[np.ix_(set_of[idx], set_of[idx])], 1.0, -1.0)
+                g = set_of[idx]  # take() keeps s C-ordered; the BLAS products' bits need that
+                s = signs.take(g, 0).take(g, 1)
                 np.fill_diagonal(s, 0.0)
                 du = continuous_step_gradient(u_batch, b_dense[:, idx], s, hp)
                 if not np.isfinite(du).all():

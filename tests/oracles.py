@@ -45,6 +45,21 @@ def brute_force_codes(u, c_dense, y, mu):
     return out
 
 
+def reference_update_centers(v, b_dense, y, a, mu, nu, eta, lr, steps):
+    """update_centers as it was before its Gram form: every step
+    recomputes the center-pull term 2 mu (V Y - B) Y^T over all N items."""
+    v = np.array(v, dtype=np.float64)
+    k, m = v.shape
+    mu, nu = mu / b_dense.shape[1], nu / (k * m)
+    for _ in range(steps):
+        v -= lr * (
+            2.0 * mu * (v @ y - b_dense) @ y.T
+            + 4.0 * nu * v @ (v.T @ v - a)
+            + 2.0 * eta * (v - np.where(v >= 0.0, 1.0, -1.0))
+        )
+    return v
+
+
 def stable_sigmoid(x):
     """Logistic function, evaluated on the stable branch per sign."""
     x = np.asarray(x, dtype=np.float64)

@@ -62,6 +62,15 @@ class TestRoundTrip:
         assert np.array_equal(codes.dense(), signs)
         assert codes.column(4) == codes_from_signs(signs[:, 4])
 
+    @pytest.mark.parametrize("k", [1, 37, 64, 65, 130])
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_dense_keeps_values_dtype_and_f_order(self, k, dtype):
+        # Products with the dense codes read them in this layout; another
+        # layout gives equal values but can change the products' last bits.
+        signs = np.random.default_rng(k).choice([-1, 1], size=(k, 50))
+        got = codes_from_signs(signs).dense(dtype)
+        assert got.dtype == dtype and got.flags.f_contiguous and np.array_equal(got, signs)
+
 
 class TestHammingDistance:
     def test_identical_codes(self):

@@ -14,8 +14,9 @@ from fisherhash.centers import (
     update_centers,
     update_codes,
 )
+from fisherhash.datasets import label_matrix
 from fisherhash.exceptions import NumericalError
-from oracles import brute_force_codes, enumerate_codes
+from oracles import brute_force_codes, enumerate_codes, reference_update_centers
 
 
 def one_hot(labels, m):
@@ -219,6 +220,28 @@ class TestUpdateCenters:
                                 np.hstack([y, y]), target_matrix(k, m), **knobs)
         np.testing.assert_allclose(v2, v1, rtol=0, atol=1e-12)
         assert c2 == c1
+
+
+class TestUpdateCentersAgainstPerItemLoop:
+    @pytest.mark.parametrize("multi_label", [False, True], ids=["one-hot", "multi-label"])
+    @pytest.mark.parametrize("k", [1, 12, 64, 65])
+    def test_gram_form_matches_the_per_item_loop(self, k, multi_label):
+        rng = np.random.default_rng(100 * k + multi_label)
+        for _ in range(6):
+            m = int(rng.integers(1, 13))
+            n = int(rng.integers(1, 501))
+            sizes = rng.integers(1, min(3, m) + 1, size=n) if multi_label else np.ones(n, int)
+            y = label_matrix([rng.choice(m, size=z, replace=False).tolist() for z in sizes], m)
+            signs = rng.choice([-1.0, 1.0], size=(k, n))
+            v0 = rng.normal(size=(k, m))
+            a = target_matrix(k, m)
+            knobs = dict(mu=rng.uniform(0, 2), nu=rng.uniform(0, 2), eta=rng.uniform(0, 1),
+                         lr=rng.uniform(1e-3, 5e-2), steps=int(rng.integers(1, 41)))
+            want = reference_update_centers(v0, signs, y, a, **knobs)
+            got, c = update_centers(v0, BinaryCodeMatrix.from_signs(signs), y, a, **knobs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            clear = np.abs(want) > 1e-9
+            np.testing.assert_array_equal(c.dense(np.float64)[clear], sign_plus(want)[clear])
 
 
 class TestUpdateCodes:

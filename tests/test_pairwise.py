@@ -219,6 +219,21 @@ class TestSignMatrix:
         with pytest.raises(ValueError, match="sign matrix"):
             sign_matrix(bad, 3)
 
+    @pytest.mark.parametrize("entries", [
+        *({(0, 1): v, (1, 0): v} for v in (0.5, 2.0, -1.5, math.nan, math.inf, -math.inf)),
+        {(1, 0): -1.0},
+        {(2, 2): 1.0},
+    ], ids=["0.5", "2", "-1.5", "nan", "inf", "-inf", "asymmetric", "diagonal"])
+    def test_every_broken_rule_gives_the_same_error(self, entries):
+        s = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, -1.0, 0.0]])
+        sign_matrix(s, 3)
+        for at, value in entries.items():
+            s[at] = value
+        with pytest.raises(ValueError) as err:
+            sign_matrix(s, 3)
+        assert str(err.value) == ("sign matrix must be symmetric with entries in {-1, 0, 1} "
+                                  "and a zero diagonal")
+
 
 @st.composite
 def pair_instances(draw):

@@ -6,7 +6,7 @@ import pytest
 from fisherhash import pairwise, training
 from fisherhash.binary_codes import BinaryCodeMatrix, dense_signs
 from fisherhash.centers import inter_loss, intra_loss, quant_loss, target_matrix, update_codes
-from fisherhash.datasets import distinct_label_sets, make_synthetic, relevance_matrix
+from fisherhash.datasets import Dataset, distinct_label_sets, make_synthetic, relevance_matrix
 from fisherhash.encoder import EncoderSpec, forward, load_checkpoint
 from fisherhash.pairwise import MarginParams, PairSets, pair_gradient, pair_objective, sign_matrix
 from fisherhash.training import (
@@ -272,6 +272,42 @@ class TestTrain:
         ds = self.dataset()
         train(ds, tiny_hp(epochs=epochs), self.spec(ds))
         assert len(seen) == calls
+
+    def test_minibatch_sign_matrices_are_c_ordered_meet_table_rows(self, monkeypatch):
+        # Multi-label sets, some meeting without being equal, and a ragged last batch.
+        rng = np.random.default_rng(6)
+        n, classes = 45, 4
+        label_sets = [rng.choice(classes, size=rng.integers(1, 3), replace=False).tolist()
+                      for _ in range(n)]
+        ds = Dataset("multi", rng.normal(size=(3, n)), label_sets, classes,
+                     splits={"train": np.arange(n)})
+        hp = tiny_hp(epochs=3, batch_size=16)
+        seen = []
+
+        def spy(u, b, s, hp_):
+            seen.append((s.copy(), s.flags.c_contiguous))
+            return continuous_step_gradient(u, b, s, hp_)
+
+        monkeypatch.setattr(training, "continuous_step_gradient", spy)
+        train(ds, hp, self.spec(ds))
+        # train draws each epoch's batch order from default_rng(hp.seed).
+        sets, set_of = distinct_label_sets(ds.label_sets)
+        meet = relevance_matrix(sets, sets, classes)
+        order = np.random.default_rng(hp.seed)
+        want = []
+        for _ in range(hp.epochs):
+            perm = order.permutation(n)
+            for start in range(0, n, hp.batch_size):
+                g = set_of[perm[start:start + hp.batch_size]]
+                s = np.where(meet[np.ix_(g, g)], 1.0, -1.0)
+                np.fill_diagonal(s, 0.0)
+                want.append(s)
+        assert len(seen) == len(want) == 9
+        for (got, c_ordered), s in zip(seen, want):
+            assert c_ordered
+            np.testing.assert_array_equal(got, s)
+            assert not np.signbit(got).any(where=got == 0)
+        assert any((s == 1).any() and (s == -1).any() for s in want)
 
     def test_zero_epochs_gives_untrained_sign_codes(self, tmp_path):
         ds = self.dataset()
