@@ -33,7 +33,7 @@ from .datasets import (
     write_labels,
 )
 from .encoder import EncoderSpec, forward, load_checkpoint
-from .evaluation import metrics_report, search, write_metrics_csv, write_metrics_json
+from .evaluation import format_rows, metrics_report, search, write_metrics_csv, write_metrics_json
 from .exceptions import ConfigError, DataError, NumericalError
 from .training import ABLATIONS, HyperParams, train, write_loss_curves
 
@@ -278,14 +278,12 @@ def cmd_query(args) -> int:
                "queries": str(args.queries), "k": args.k}
     with _output(args, payload) as (stage, _):
         results = search(queries, db_codes, k=args.k)
-        lines = [
-            f"{res.query},{rank},{item},{dist}\n"
-            for res in results
-            for rank, item, dist in zip(range(1, args.k + 1), res.indices.tolist(),
-                                        res.distances.tolist())
-        ]
+        table = np.column_stack([np.repeat([res.query for res in results], args.k),
+                                 np.tile(np.arange(1, args.k + 1), len(results)),
+                                 np.concatenate([res.indices for res in results]),
+                                 np.concatenate([res.distances for res in results])])
         (stage / "results.csv").write_text(
-            "query,rank,item,distance\n" + "".join(lines), encoding="utf-8")
+            "query,rank,item,distance\n" + format_rows("%d,%d,%d,%d\n", table), encoding="utf-8")
     print(f"wrote top-{args.k} results for {queries.n} queries to "
           f"{Path(args.out) / 'results.csv'}")
     return EXIT_OK

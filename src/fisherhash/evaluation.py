@@ -6,12 +6,11 @@ a code shares its distance.  Ranking ties at equal distance break by
 ascending database index, so results are deterministic and
 oracle-comparable.  Both rankings read one stream of per-query rows of
 code distances.  `search` picks each query's top k from its row and
-the code counts.  `metrics_report` builds each full ranking's
-relevance per distance bucket, and ranks the items only of a row where
-one bucket holds both relevant and irrelevant items.
-Metrics: MAP@k, precision and recall at N, and a precision/recall
-sweep over Hamming radius, accumulated one query at a time from that
-query's ranked relevance and its running hit count.
+the code counts.  `metrics_report` counts each full ranking's items and
+hits per distance bucket, builds the hits at N from those counts, and
+ranks the items only of a row where one bucket holds both relevant and
+irrelevant items.  Metrics: MAP@k, precision and recall at N, and a
+precision/recall sweep over Hamming radius, summed one query at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from .datasets import distinct_label_sets, relevance_matrix
 
 # Upper bound on the scratch distance block, in entries.
 _BLOCK_ENTRIES = 4_000_000
+# Rows formatted by one `%` in format_rows.
+_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -142,18 +143,18 @@ def metrics_report(
     buckets, nearest first.  Count-weighted bincounts give each bucket's
     items, from the code counts, and its relevant items, from the item
     counts of the distinct (code, database label set) pairs, each
-    weighted by whether its label set meets the query's.  Where every
+    weighted by whether its label set meets the query's; their running
+    sums are the items and hits within every Hamming radius.  Where every
     bucket is all relevant or all irrelevant, the ranked relevance is
-    each bucket's flag repeated over its items, and no item order is
-    built.  Where one bucket mixes the two, that row alone takes its
-    code distances out to the items and stable-argsorts them.  A
-    pattern's row is scored once: one integer running count of hits
-    gives P@N, R@N and the hits within every Hamming radius.  A row is
-    kept for the pattern's later occurrences only, until its last.
-    Memory is O(block x distinct codes) for the code distances, plus
-    O(n_db) per scored row.
-    Per-query sums are taken in query order, so every mean equals the
-    one over the whole n_q x n_db matrices.
+    each bucket's flag repeated over its items, the hits at N rise by one
+    per item over a relevant bucket and stay flat over an irrelevant one,
+    and no item order is built.  Where one bucket mixes the two, that row
+    alone stable-argsorts its items by distance and sums its relevance.
+    Hits are float64 counts, n_max of them per row.  A row is kept for
+    the pattern's later occurrences only, until its last.  Memory is
+    O(block x distinct codes) for the code distances, plus O(n_db) per
+    scored row.  Per-query sums are taken in query order, so every mean
+    equals the one over the whole n_q x n_db matrices.
     Raises ValueError for a class id outside [0, num_classes).
     """
     if len(query_label_sets) != queries.n or len(db_label_sets) != database.n:
@@ -197,33 +198,36 @@ def metrics_report(
     # at Hamming distance <= r, for r = 0..K.
     retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
     rel_retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
-    # cum[j]: relevant items among the first j ranked.
-    cum = np.zeros(n_db + 1, dtype=np.int32)
+    # row_hits[j]: relevant items among the first j + 1 ranked.
+    row_hits = np.empty(n_max)
     for q in range(n_q):
         p = pattern[q]
         r_total = r_totals[q]
         if first[p] == q:
             dist_row = next(rows)
             # The ranking is sorted by distance: bucket r, the items at
-            # distance r, follows every nearer bucket.
+            # distance r, follows every nearer bucket, and the items
+            # within radius r are the first ends[r] ranked.
             size = np.bincount(dist_row, groups.counts, minlength=k_bits + 1)
             relc = np.bincount(dist_row.take(pair_code),
                                pair_counts * table[q_pid[q]].take(pair_set), minlength=k_bits + 1)
+            ends = size.cumsum().astype(np.intp)
             if ((relc > 0) & (relc < size)).any():
                 # A bucket mixes relevant and irrelevant items: rank the
                 # items, ties by ascending index.
                 order = np.argsort(dist_row.take(groups.code_of), kind="stable")
                 rel = table[q_pid[q]].take(db_pid.take(order))
+                np.cumsum(rel[:n_max], dtype=np.float64, out=row_hits)
             else:
                 rel = np.repeat(relc == size, size.astype(np.intp))
-            np.cumsum(rel, dtype=np.int32, out=cum[1:])
-            hits = cum[1:n_max + 1]
+                start, base = 0, 0.0
+                for stop, n_rel in zip(ends[size > 0].tolist(), relc[size > 0].tolist()):
+                    row_hits[start:stop] = ns[start:stop] + (base - start) if n_rel else base
+                    start, base = stop, base + n_rel
             ap_row = [average_precision(rel[:k], int(r_total)) for k in ks] if r_total else []
-            # The items within radius r are the first ends[r] ranked.
-            ends = size.cumsum().astype(np.intp)
-            row = hits, ap_row, ends, cum[ends]
+            row = row_hits, ap_row, ends, relc.cumsum()
             if left[p] > 1:
-                row = cached[p] = (hits.copy(), *row[1:])
+                row = cached[p] = (row_hits.copy(), *row[1:])
         else:
             row = cached[p]
         left[p] -= 1
@@ -275,6 +279,15 @@ def metrics_report(
     )
 
 
+def format_rows(row: str, table, sep: str = "") -> str:
+    """The text of `sep.join(row % tuple(r) for r in table)`, made by one
+    `%` per chunk of _CHUNK_ROWS rows against the template repeated, so
+    no object is made per row."""
+    table = np.asarray(table)
+    chunks = np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS))
+    return sep.join([sep.join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks])
+
+
 def write_metrics_csv(report: MetricsReport, out_dir) -> dict:
     """Write map.csv, prn.csv, pr.csv; returns the created paths.
 
@@ -284,14 +297,14 @@ def write_metrics_csv(report: MetricsReport, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = {
-        "map": ("k,map\n", "%s,%.17g\n", sorted(report.map_at.items())),
-        "prn": ("N,precision,recall\n", "%d,%.17g,%.17g\n", report.top_n.tolist()),
-        "pr": ("radius,precision,recall\n", "%d,%.17g,%.17g\n", report.pr_radius.tolist()),
+        "map": ("k,map\n", "%d,%.17g\n", sorted(report.map_at.items())),
+        "prn": ("N,precision,recall\n", "%d,%.17g,%.17g\n", report.top_n),
+        "pr": ("radius,precision,recall\n", "%d,%.17g,%.17g\n", report.pr_radius),
     }
     paths = {}
     for name, (head, line, rows) in tables.items():
         paths[name] = out / f"{name}.csv"
-        paths[name].write_text(head + "".join([line % tuple(r) for r in rows]), encoding="utf-8")
+        paths[name].write_text(head + format_rows(line, rows), encoding="utf-8")
     return paths
 
 
@@ -324,7 +337,7 @@ def write_metrics_json(report: MetricsReport, path) -> None:
     text = json.dumps({**header, **{k: "\0" + k for k in tables}}, indent=2, sort_keys=True)
     for key, table in tables.items():
         row, columns = _JSON_ROWS[key]
-        body = ",\n".join([row % tuple(r) for r in table[:, columns].tolist()])
+        body = format_rows(row, table[:, columns], ",\n")
         body = body.replace("nan", "NaN").replace("inf", "Infinity")
         text = text.replace(json.dumps("\0" + key), f"[\n{body}\n  ]" if body else "[]", 1)
     Path(path).write_text(text + "\n", encoding="utf-8")

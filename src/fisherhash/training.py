@@ -161,14 +161,14 @@ def continuous_step_gradient(u: np.ndarray, b: np.ndarray, s: np.ndarray, hp: Hy
     return grad
 
 
-def _discrete_phase(u_full, y, v, hp: HyperParams, a):
-    """Re-quantize codes, then alternate center descent / code update."""
+def _discrete_phase(u_full, y, yyt, v, hp: HyperParams, a):
+    """Re-quantize codes, then alternate center descent / code update (yyt = y y^T)."""
     b = BinaryCodeMatrix.from_values(u_full)
     if v is None:
         v = init_centers(u_full, y)
     for _ in range(hp.center_rounds):
         v, c = update_centers(v, b, y, a, hp.mu, hp.nu, hp.eta,
-                              hp.center_inner_lr, hp.center_inner_steps)
+                              hp.center_inner_lr, hp.center_inner_steps, yyt)
         b = update_codes(u_full, c, y, hp.mu)
     return b, c, v
 
@@ -199,7 +199,8 @@ def train(
     train_idx = dataset.split("train")
     x = dataset.features[:, train_idx]
     label_sets = dataset.subset_labels(train_idx)
-    y = dataset.y_matrix(train_idx)
+    y = centers_mod.check_label_matrix(dataset.y_matrix(train_idx))
+    yyt = y @ y.T
     sets, set_of = distinct_label_sets(label_sets)
     meet = relevance_matrix(sets, sets, dataset.num_classes)
     signs = np.where(meet, 1.0, -1.0)
@@ -236,7 +237,7 @@ def train(
             u_full, _ = encoder_mod.forward(state, x)
         if not np.isfinite(u_full).all():
             raise NumericalError(f"non-finite representations after epoch {epoch}")
-        b, c, v = _discrete_phase(u_full, y, v, hp, a)
+        b, c, v = _discrete_phase(u_full, y, yyt, v, hp, a)
 
         record = EpochRecord(
             epoch, code_pair_loss(b, set_of, meet, hp.margin), centers_mod.intra_loss(b, c, y),

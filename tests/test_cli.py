@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fisherhash
+from fisherhash import evaluation
 from fisherhash.binary_codes import BinaryCodeMatrix
 from fisherhash.cli import main
 from fisherhash.datasets import DatasetManifest, save_manifest, write_features, write_labels
@@ -494,6 +495,29 @@ class TestEncodeIndexQuery:
         got = (tmp_path / "q" / "results.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert len(got.splitlines()) == 1 + 7 * 80
+
+    @pytest.mark.parametrize("n_queries, k", [(3, 1365), (16, 256), (17, 241)],
+                             ids=["chunk-1", "chunk", "chunk+1"])
+    def test_results_csv_across_a_chunk_seam(self, tmp_path, n_queries, k):
+        # 4,095, 4,096 and 4,097 result lines against 4,096-row chunks.
+        assert n_queries * k - evaluation._CHUNK_ROWS in (-1, 0, 1)
+        rng = np.random.default_rng(k)
+        protos = rng.choice([-1, 1], size=(10, 6))
+        db = BinaryCodeMatrix.from_signs(protos[:, rng.integers(0, 6, size=1400)])
+        queries = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(10, n_queries)))
+        db.save(tmp_path / "db.fhsh")
+        queries.save(tmp_path / "q.fhsh")
+        write_labels(tmp_path / "db_labels.txt", [{0}] * db.n)
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "1", "--out", str(tmp_path / "index")) == 0
+        assert run_cli("query", "--index", str(tmp_path / "index"),
+                       "--queries", str(tmp_path / "q.fhsh"),
+                       "--k", str(k), "--out", str(tmp_path / "q")) == 0
+        reference_write_results_csv(reference_search(queries, db, k), tmp_path / "want.csv")
+        got = (tmp_path / "q" / "results.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert len(got.splitlines()) == 1 + n_queries * k
 
     @pytest.mark.parametrize("command, flag", [
         ("eval", "--db-codes"),

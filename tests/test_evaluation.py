@@ -413,6 +413,32 @@ class TestWritersAgainstOracle:
         write_metrics_json(report, out / "got.json")
         assert (out / "got.json").read_bytes() == (out / "want.json").read_bytes()
 
+    # format_rows formats _CHUNK_ROWS rows per `%`.  Rows SEAM - 2 ..
+    # SEAM + 1, the last two of one chunk and the first two of the next,
+    # hold NaN, +-inf and -0.0.
+    SEAM = evaluation._CHUNK_ROWS
+    EDGE = np.array([[np.nan, -0.0], [np.inf, -np.inf], [-0.0, np.nan], [-np.inf, np.inf]])
+
+    @pytest.mark.parametrize("n_rows", [SEAM - 1, SEAM, SEAM + 1])
+    def test_rows_across_a_chunk_seam(self, tmp_path, n_rows):
+        cells = np.random.default_rng(n_rows).normal(size=(n_rows, 2))
+        edge = cells[self.SEAM - 2:self.SEAM + 2]
+        edge[:] = self.EDGE[:len(edge)]
+        report = MetricsReport(
+            map_at={1: -0.0, n_rows: np.nan},
+            top_n=np.column_stack([np.arange(1.0, n_rows + 1), cells]),
+            pr_radius=np.column_stack([np.arange(float(n_rows)), cells[:, ::-1]]),
+            n_queries=3, n_database=n_rows, config_hash="abc",
+        )
+        want = reference_write_metrics_csv(report, tmp_path / "want")
+        got = write_metrics_csv(report, tmp_path / "got")
+        for name in want:
+            assert got[name].read_bytes() == want[name].read_bytes(), name
+        assert len(got["prn"].read_bytes().splitlines()) == n_rows + 1
+        reference_write_metrics_json(report, tmp_path / "want.json")
+        write_metrics_json(report, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_metrics_report_outputs(self, tmp_path, fixture_tables):
         q, db = fixture_tables
         for max_n in (1, None):
@@ -421,6 +447,40 @@ class TestWritersAgainstOracle:
             reference_write_metrics_json(report, tmp_path / "want.json")
             write_metrics_json(report, tmp_path / "got.json")
             assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+class TestPureRowHits:
+    """Rows whose buckets are each all relevant or all irrelevant take
+    their hits at N from the bucket counts, with no item ranking."""
+
+    SIZES = [3, 4, 2, 5, 1, 6, 3, 2, 4]  # bucket d: the items d bits from the query
+
+    def instance(self, max_n):
+        # K = 8: bucket d holds codes with the first d bits flipped, class
+        # d % 2, so relevance alternates by bucket; items interleave.
+        rng = np.random.default_rng(8)
+        bucket = rng.permutation(np.repeat(np.arange(9), self.SIZES))
+        codes = np.where(np.arange(8)[:, None] < bucket, -1, 1)
+        # Class 0 again for a kept row, class 1 for the other buckets,
+        # class 2 for a row with no relevant item.
+        q_labels = [{0}, {1}, {0}, {2}, {0}]
+        return dict(queries=BinaryCodeMatrix.from_signs(np.ones((8, len(q_labels)), dtype=int)),
+                    database=BinaryCodeMatrix.from_signs(codes),
+                    query_label_sets=q_labels, db_label_sets=[{int(d) % 2} for d in bucket],
+                    ks=[1, 6, bucket.size], num_classes=3, max_n=max_n)
+
+    @pytest.mark.parametrize("max_n", [1, 5, 9, None],
+                             ids=["first", "inside-bucket", "bucket-end", "full"])
+    def test_matches_reference_without_item_ranking(self, max_n):
+        inst = self.instance(max_n)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = metrics_report(**inst)
+        assert not argsort.called
+        want = reference_metrics_report(**inst)
+        assert got.map_at == want.map_at
+        assert got.top_n.tobytes() == want.top_n.tobytes()
+        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
+        assert len(got.top_n) == (max_n or sum(self.SIZES))
 
 
 @st.composite
