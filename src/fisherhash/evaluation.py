@@ -110,6 +110,37 @@ def average_precision(flags, r_total: int) -> float:
     return float(precisions.sum() / min(r_total, flags.size))
 
 
+def _ap_at(ranks: np.ndarray, k: int, r_total: int) -> float:
+    """average_precision of a ranking cut at k, from the ascending 0-based
+    ranks of its relevant items; ranks from k on are ignored."""
+    hits = int(np.searchsorted(ranks, k))
+    if not hits:
+        return 0.0
+    precisions = (np.arange(hits) + 1.0) / (ranks[:hits] + 1.0)
+    return float(precisions.sum() / min(r_total, k))
+
+
+def _pure_runs(stops: list, rel_counts: list, n_max: int, k_max: int):
+    """A pure row's runs that start below n_max, and its relevant ranks below k_max.
+
+    stops and rel_counts: each nonempty bucket's end rank and relevant
+    items, nearest first.  Alike buckets merge into runs (start, stop, c,
+    rising): at N = start + 1 .. stop the hits are N + c if rising, else
+    c.  Runs with no hits are left out."""
+    runs = []
+    start = base = 0
+    for stop, n_rel in zip(stops, rel_counts):
+        if runs and runs[-1][3] == (n_rel > 0):
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, base, n_rel > 0])
+        start, base = stop, base + n_rel
+    ranks = [np.arange(s, min(e, k_max)) for s, e, _, rising in runs if rising and s < k_max]
+    return ([(s, e, b - s if rising else b, rising)
+             for s, e, b, rising in runs if s < n_max and (rising or b)],
+            np.concatenate([np.arange(0), *ranks]))
+
+
 @dataclass
 class MetricsReport:
     """MAP@k plus P@N / R@N and radius-swept PR curves."""
@@ -141,20 +172,16 @@ def metrics_report(
     to the distinct database codes.  A ranking lists the items by
     distance, ties by ascending index, so it is a run of distance
     buckets, nearest first.  Count-weighted bincounts give each bucket's
-    items, from the code counts, and its relevant items, from the item
-    counts of the distinct (code, database label set) pairs, each
-    weighted by whether its label set meets the query's; their running
-    sums are the items and hits within every Hamming radius.  Where every
-    bucket is all relevant or all irrelevant, the ranked relevance is
-    each bucket's flag repeated over its items, the hits at N rise by one
-    per item over a relevant bucket and stay flat over an irrelevant one,
-    and no item order is built.  Where one bucket mixes the two, that row
-    alone stable-argsorts its items by distance and sums its relevance.
-    Hits are float64 counts, n_max of them per row.  A row is kept for
-    the pattern's later occurrences only, until its last.  Memory is
+    items and relevant items; their running sums are the items and hits
+    within every Hamming radius.  A pure row, where every bucket is all
+    relevant or all irrelevant, is scored from its runs of alike buckets
+    (`_pure_runs`) with no per-item array.  A row where one bucket mixes
+    the two alone stable-argsorts its items by distance.  A row is kept
+    for the pattern's later occurrences only, until its last.  Memory is
     O(block x distinct codes) for the code distances, plus O(n_db) per
-    scored row.  Per-query sums are taken in query order, so every mean
-    equals the one over the whole n_q x n_db matrices.
+    mixed row and the relevant ranks below the largest k per pure row.
+    Per-query sums are taken in query order, so every mean equals the
+    one over the whole n_q x n_db matrices.
     Raises ValueError for a class id outside [0, num_classes).
     """
     if len(query_label_sets) != queries.n or len(db_label_sets) != database.n:
@@ -189,17 +216,15 @@ def metrics_report(
     rows = _code_distances(queries.take(ranked), database)
     cached = {}
 
+    k_max = ks[-1] if ks else 0
     hits_at_1 = np.zeros(n_q)
     aps = {k: [] for k in ks}
     precision_sum = np.zeros(n_max)
     recall_sum = np.zeros(n_max)
-    scratch = np.empty(n_max)
     # Radius sweep: counts of retrieved / relevant-retrieved per query
     # at Hamming distance <= r, for r = 0..K.
     retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
     rel_retrieved = np.zeros((n_q, k_bits + 1), dtype=np.int64)
-    # row_hits[j]: relevant items among the first j + 1 ranked.
-    row_hits = np.empty(n_max)
     for q in range(n_q):
         p = pattern[q]
         r_total = r_totals[q]
@@ -214,32 +239,37 @@ def metrics_report(
             ends = size.cumsum().astype(np.intp)
             if ((relc > 0) & (relc < size)).any():
                 # A bucket mixes relevant and irrelevant items: rank the
-                # items, ties by ascending index.
+                # items, ties by ascending index; c holds the row's hits.
                 order = np.argsort(dist_row.take(groups.code_of), kind="stable")
                 rel = table[q_pid[q]].take(db_pid.take(order))
-                np.cumsum(rel[:n_max], dtype=np.float64, out=row_hits)
+                hits = np.cumsum(rel[:n_max], dtype=np.float64)
+                runs, h1, ranks = [(0, n_max, hits, False)], hits[0], np.flatnonzero(rel[:k_max])
             else:
-                rel = np.repeat(relc == size, size.astype(np.intp))
-                start, base = 0, 0.0
-                for stop, n_rel in zip(ends[size > 0].tolist(), relc[size > 0].tolist()):
-                    row_hits[start:stop] = ns[start:stop] + (base - start) if n_rel else base
-                    start, base = stop, base + n_rel
-            ap_row = [average_precision(rel[:k], int(r_total)) for k in ks] if r_total else []
-            row = row_hits, ap_row, ends, relc.cumsum()
+                stops, counts = ends[size > 0].tolist(), relc[size > 0].tolist()
+                runs, ranks = _pure_runs(stops, counts, n_max, k_max)
+                h1 = float(counts[0] > 0)
+            ap_row = [_ap_at(ranks, k, int(r_total)) for k in ks] if r_total else []
+            runs = [(precision_sum[s:e], recall_sum[s:e], ns[s:e], c, rising)
+                    for s, e, c, rising in runs]
+            row = runs, h1, ap_row, ends, relc.cumsum()
             if left[p] > 1:
-                row = cached[p] = (row_hits.copy(), *row[1:])
+                cached[p] = row
         else:
             row = cached[p]
         left[p] -= 1
         if not left[p]:
             cached.pop(p, None)
-        hits, ap_row, retrieved[q], rel_retrieved[q] = row
-        hits_at_1[q] = hits[0]
-        precision_sum += np.divide(hits, ns, out=scratch)
-        if r_total:
-            recall_sum += np.divide(hits, r_total, out=scratch)
-            for k, ap in zip(ks, ap_row):
-                aps[k].append(ap)
+        runs, hits_at_1[q], ap_row, retrieved[q], rel_retrieved[q] = row
+        # Each run adds the whole matrices' quotients hits / N and hits /
+        # r_total to its views of the sums, which end at n_max; hits / N is
+        # 1 exactly where hits = N.  Left-out runs' +0.0 would change no bit.
+        for p_sum, r_sum, n, c, rising in runs:
+            hits = (n + c if c else n) if rising else c
+            p_sum += 1.0 if rising and not c else hits / n
+            if r_total:
+                r_sum += hits / r_total
+        for k, ap in zip(ks, ap_row):
+            aps[k].append(ap)
 
     has_rel = r_totals > 0
     map_at = {k: float(np.mean(v)) if v else 0.0 for k, v in aps.items()}

@@ -1,3 +1,5 @@
+import importlib.util
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from fisherhash.evaluation import (
 )
 
 from oracles import (
+    reference_hamming_cross,
     reference_metrics_report,
     reference_search,
     reference_write_metrics_csv,
@@ -483,6 +486,105 @@ class TestPureRowHits:
         assert len(got.top_n) == (max_n or sum(self.SIZES))
 
 
+class TestRunBuiltRows:
+    """A pure row is scored from its runs: consecutive buckets that are
+    all relevant, or all irrelevant, to the query."""
+
+    SIZES = [3, 4, 2, 5, 1, 6, 3, 2, 4]    # bucket d: the items d bits from the all-ones code
+    RELEVANT = [0, 0, 1, 1, 0, 1, 0, 0, 1]  # bucket d is class 0 where 1, else class 1
+    # From the all-ones code, class 0 finds ranks [0, 7) irrelevant, so
+    # with no hits, then [7, 14) relevant, [14, 15) not, [15, 21)
+    # relevant, and so on; class 1 finds the same runs the other way round.
+    INSIDE = [5, 10, 17, 28]
+    AT_ENDS = [7, 14, 15, 21, 26, 30]
+
+    def instance(self, ks, max_n):
+        rng = np.random.default_rng(22)
+        bucket = rng.permutation(np.repeat(np.arange(9), self.SIZES))
+        codes = np.ones((8, bucket.size), dtype=int)
+        for j, d in enumerate(bucket):
+            codes[rng.choice(8, size=d, replace=False), j] = -1
+        # Queries 0, 2 and 6 share a pattern, as do 1 and 5; query 3 has
+        # no relevant item; query 4, the all-minus code, meets the
+        # buckets farthest first.
+        q_codes = np.ones((8, 7), dtype=int)
+        q_codes[:, 4] = -1
+        return dict(queries=BinaryCodeMatrix.from_signs(q_codes),
+                    database=BinaryCodeMatrix.from_signs(codes),
+                    query_label_sets=[{0}, {1}, {0}, {2}, {0}, {1}, {0}],
+                    db_label_sets=[{1 - self.RELEVANT[d]} for d in bucket],
+                    ks=ks, num_classes=3, max_n=max_n)
+
+    def test_runs_merge_buckets_and_stop_at_n_max(self):
+        # Class 0 from the all-ones code: the leading run has no hits and
+        # is left out, buckets 2 and 3 make one run, and the runs end as
+        # the comment above says.
+        stops = np.cumsum(self.SIZES).tolist()
+        counts = [float(size * rel) for size, rel in zip(self.SIZES, self.RELEVANT)]
+        runs, _ = evaluation._pure_runs(stops, counts, stops[-1], stops[-1])
+        assert [run[:2] for run in runs] == list(zip(self.AT_ENDS, self.AT_ENDS[1:]))
+        assert not set(self.INSIDE) & set(stops)
+        # With n_max 10 and largest k 17, no run starts at or after N = 10.
+        runs, ranks = evaluation._pure_runs(stops, counts, 10, 17)
+        assert runs == [(7, 14, -7.0, True)]
+        assert ranks.tolist() == [*range(7, 14), 15, 16]
+
+    @pytest.mark.parametrize("ks", [INSIDE, AT_ENDS], ids=["k-inside-runs", "k-at-run-ends"])
+    @pytest.mark.parametrize("max_n", [1, 10, 14, None],
+                             ids=["first", "inside-run", "at-run-end", "full"])
+    def test_matches_reference(self, ks, max_n):
+        inst = self.instance(ks, max_n)
+        got, want = metrics_report(**inst), reference_metrics_report(**inst)
+        assert np.array([*got.map_at.items()]).tobytes() == np.array([*want.map_at.items()]).tobytes()
+        assert got.top_n.tobytes() == want.top_n.tobytes()
+        assert got.pr_radius.tobytes() == want.pr_radius.tobytes()
+
+    def test_pure_rows_build_no_item_long_row(self):
+        # No relevance row repeated out to the items, and no AP scan of one.
+        inst = self.instance(self.AT_ENDS, None)
+        with mock.patch.object(np, "repeat", wraps=np.repeat) as repeat, \
+                mock.patch.object(evaluation, "average_precision", wraps=average_precision) as ap, \
+                mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            metrics_report(**inst)
+        assert not (repeat.called or ap.called or argsort.called)
+
+
+def load_perfbench_gen():
+    """perfbench/gen.py, loaded as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+class TestBenchmarkShapedEval:
+    def test_pure_rows_write_the_oracle_bytes(self, tmp_path):
+        # The benchmark's `eval` codes at a tenth of the queries and the
+        # database: single-label classes, 64 bits, its flip rates.
+        gen = load_perfbench_gen()
+        gen.N_QUERY, gen.N_DB = 200, 5000
+        q_signs, q_classes, db_signs, db_classes = gen.class_codes(22)
+        q, db = BinaryCodeMatrix.from_signs(q_signs.T), BinaryCodeMatrix.from_signs(db_signs.T)
+        assert (q.n, db.n, q.K) == (200, 5000, 64)
+        # Every row is pure: no distance bucket holds both relevant and
+        # irrelevant items.
+        for dist, cls in zip(reference_hamming_cross(q, db), q_classes):
+            size, relc = np.bincount(dist), np.bincount(dist, db_classes == cls)
+            assert ((relc == 0) | (relc == size)).all()
+        inst = dict(queries=q, database=db, query_label_sets=[{int(c)} for c in q_classes],
+                    db_label_sets=[{int(c)} for c in db_classes], ks=[100, db.n],
+                    num_classes=gen.CLASSES)
+        got, want = metrics_report(**inst), reference_metrics_report(**inst)
+        got_paths = write_metrics_csv(got, tmp_path / "got")
+        want_paths = reference_write_metrics_csv(want, tmp_path / "want")
+        for name in want_paths:
+            assert got_paths[name].read_bytes() == want_paths[name].read_bytes(), name
+        write_metrics_json(got, tmp_path / "got.json")
+        reference_write_metrics_json(want, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 @st.composite
 def retrieval_instances(draw):
     """Codes clustered around a few prototypes (so distances tie), label
@@ -490,35 +592,48 @@ def retrieval_instances(draw):
     items or drawn per item, queries with no relevant item, repeated
     queries (equal codes with equal and with different label sets), every
     kind of max_n and k, and a block size giving one block, several blocks
-    or a ragged last block."""
+    or a ragged last block.  Separated instances give each item the one
+    class of its prototype, so that where prototypes lie far apart every
+    bucket is all relevant or all irrelevant, in several alternating runs."""
     k_bits = draw(st.sampled_from([1, 7, 64, 65, 256, 300]))
     n_q = draw(st.integers(1, 24))
     n_db = draw(st.integers(1, 40))
     classes = draw(st.integers(1, 12))
     container = draw(st.sampled_from([set, frozenset]))
     shared = draw(st.booleans())
+    separated = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    protos = rng.choice([-1, 1], size=(k_bits, draw(st.integers(1, 4))))
-    flip = draw(st.sampled_from([0.0, 0.02, 0.5]))
+    protos = rng.choice([-1, 1], size=(k_bits, draw(st.integers(3, 6) if separated else st.integers(1, 4))))
+    flip = draw(st.sampled_from([0.0, 0.02] if separated else [0.0, 0.02, 0.5]))
+    proto_class = np.arange(protos.shape[1]) % min(classes, 3)
 
     def codes(n):
-        signs = protos[:, rng.integers(0, protos.shape[1], size=n)]
-        return BinaryCodeMatrix.from_signs(np.where(rng.random(signs.shape) < flip, -signs, signs))
+        which = rng.integers(0, protos.shape[1], size=n)
+        signs = protos[:, which]
+        return BinaryCodeMatrix.from_signs(np.where(rng.random(signs.shape) < flip, -signs, signs)), which
 
-    def label_sets(n, num):
+    def label_sets(which, num):
         # Class `classes` appears only among queries: its queries have
         # no relevant database item.  Shared: every item takes one of at
         # most three label sets.
+        if separated:
+            # Each item takes its prototype's class; a tenth of the
+            # queries take class `classes` instead.
+            return [container({classes if num > classes and rng.random() < 0.1 else int(proto_class[w])})
+                    for w in which]
+
         def one():
             return container(rng.choice(num, size=rng.integers(1, 4), replace=True).tolist())
         if not shared:
-            return [one() for _ in range(n)]
+            return [one() for _ in which]
         pool = [one() for _ in range(rng.integers(1, 4))]
-        return [pool[j] for j in rng.integers(0, len(pool), size=n)]
+        return [pool[j] for j in rng.integers(0, len(pool), size=len(which))]
 
     max_n = draw(st.one_of(st.none(), st.integers(1, max(1, n_db - 1)),
                            st.integers(n_db + 1, n_db + 5)))
-    queries, query_label_sets = codes(n_q), label_sets(n_q, classes + 1)
+    queries, q_which = codes(n_q)
+    query_label_sets = label_sets(q_which, classes + 1)
+    database, db_which = codes(n_db)
     if draw(st.booleans()):
         # Each query copies the code of one of a few seed queries and, half
         # the time, that seed's label set, else another seed's label set.
@@ -529,9 +644,9 @@ def retrieval_instances(draw):
         query_label_sets = [query_label_sets[j] for j in label_src]
     return dict(
         queries=queries,
-        database=codes(n_db),
+        database=database,
         query_label_sets=query_label_sets,
-        db_label_sets=label_sets(n_db, classes),
+        db_label_sets=label_sets(db_which, classes),
         num_classes=classes + 1,
         ks=draw(st.lists(st.integers(1, n_db), min_size=1, max_size=3)),
         max_n=max_n,
