@@ -52,6 +52,15 @@ class CodeGroups(NamedTuple):
     items: np.ndarray
 
 
+def code_patterns(b: "BinaryCodeMatrix", set_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b's distinct (code, label set) patterns, by code then set: each one's code, an
+    index into b.groups().codes, its set id from set_of, and its item count."""
+    n_sets = int(set_of.max()) + 1
+    keys, counts = np.unique(b.groups().code_of * n_sets + set_of, return_counts=True)
+    code, label_set = np.divmod(keys, n_sets)
+    return code, label_set, counts
+
+
 class BinaryCodeMatrix:
     """K x N matrix with entries in {-1,+1}, stored bit-packed.
 

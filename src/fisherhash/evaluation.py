@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binary_codes import BinaryCodeMatrix, CodeGroups, hamming_cross
+from .binary_codes import BinaryCodeMatrix, CodeGroups, code_patterns, hamming_cross
 from .datasets import distinct_label_sets, relevance_matrix
 
 # Upper bound on the scratch distance block, in entries.
@@ -200,10 +200,9 @@ def metrics_report(
     ns = np.arange(1, n_max + 1, dtype=np.float64)
 
     groups = database.groups()
-    # The distinct (code, database label set) pairs and their item
-    # counts give the relevant items at each distance.
-    pair_keys, pair_counts = np.unique(groups.code_of * len(db_sets) + db_pid, return_counts=True)
-    pair_code, pair_set = np.divmod(pair_keys, len(db_sets))
+    # The database's (code, label set) patterns and their item counts
+    # give the relevant items at each distance.
+    pair_code, pair_set, pair_counts = code_patterns(database, db_pid)
     # A query's scored row depends only on its code words and its
     # distinct label set, its pattern.
     keys = np.column_stack([queries.words, q_pid.astype(np.uint64)])

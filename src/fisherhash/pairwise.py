@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary_codes import BinaryCodeMatrix, dense_signs, hamming_cross
+from .binary_codes import BinaryCodeMatrix, code_patterns, dense_signs, hamming_cross
 
-# Upper bound on code_pair_loss's distance block, in entries.  Each block
-# also holds two float64 count products of the same size, so this keeps
-# the scratch at a few MB where the distinct codes are many.
+# Upper bound on code_pair_loss's block of pattern pairs, in entries.  Each
+# block also holds an intp key and a float64 count product of the same
+# size, so this keeps the scratch at a few MB where the patterns are many.
 _BLOCK_ENTRIES = 250_000
 
 # Side of pair_loss_full's square Gram blocks: each float64 temporary is
@@ -254,27 +254,25 @@ def code_pair_loss(b: BinaryCodeMatrix, set_of: np.ndarray, meet: np.ndarray, ma
     the table of which of them meet (datasets.relevance_matrix).  On
     codes D = -1/2 <b_i, b_j> = h - K/2 with h the Hamming distance, so
     a pair's loss depends only on h and on whether its label sets meet.
-    The pairs are counted per h between the distinct codes, in row
-    blocks of them: all pairs from the code counts, similar pairs from
-    C meet C' with C the (distinct code x label set) item counts.  The
-    N self-pairs at h = 0 are taken out, and softplus is evaluated on
-    the K + 1 values of D only.  All counts are exact integers.
+    The pairs are counted between the (code, label set) patterns
+    (binary_codes.code_patterns), in row blocks of them: each pattern
+    pair adds the product of its two item counts at key 2h + meet, so
+    one bincount counts the pairs per h, similar or not.  The N
+    self-pairs at h = 0 are taken out, and softplus is evaluated on the
+    K + 1 values of D only.  All counts are exact integers.
     """
-    groups = b.groups()
-    n_codes, n_sets = groups.codes.n, len(meet)
-    c = np.bincount(groups.code_of * n_sets + set_of, minlength=n_codes * n_sets)
-    c = c.reshape(n_codes, n_sets).astype(np.float64)
-    counts = groups.counts.astype(np.float64)
-    meet = meet.astype(np.float64)
-    every = np.zeros(b.K + 1)
-    similar = np.zeros(b.K + 1)
-    block = max(1, _BLOCK_ENTRIES // n_codes)
-    for start in range(0, n_codes, block):
-        rows = range(start, min(start + block, n_codes))
-        h = hamming_cross(groups.codes.take(rows), groups.codes).ravel()
-        every += np.bincount(h, np.outer(counts[rows], counts).ravel(), b.K + 1)
-        similar += np.bincount(h, (c[rows] @ meet @ c.T).ravel(), b.K + 1)
-    every[0] -= b.n
-    similar[0] -= meet.diagonal()[set_of].sum()
+    code, label_set, counts = code_patterns(b, set_of)
+    patterns = b.groups().codes.take(code)
+    weights = counts.astype(np.float64)
+    keyed = np.zeros(2 * (b.K + 1))
+    block = max(1, _BLOCK_ENTRIES // len(code))
+    for start in range(0, len(code), block):
+        rows = range(start, min(start + block, len(code)))
+        key = np.multiply(hamming_cross(patterns.take(rows), patterns), 2, dtype=np.intp)
+        key += meet[label_set[rows]].take(label_set, axis=1)
+        keyed += np.bincount(key.ravel(), np.outer(weights[rows], weights).ravel(), len(keyed))
+    keyed[:2] -= np.bincount(meet.diagonal()[set_of], minlength=2)  # the N self-pairs
+    # Contiguous rows: a strided view would sum the dot products in another order.
+    dissimilar, similar = keyed.reshape(-1, 2).T.copy()
     d = np.arange(b.K + 1) - b.K / 2
-    return 0.5 * float(similar @ loss_similar(d, margin) + (every - similar) @ loss_dissimilar(d, margin))
+    return 0.5 * float(similar @ loss_similar(d, margin) + dissimilar @ loss_dissimilar(d, margin))

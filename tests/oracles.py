@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fisherhash.binary_codes import hamming_cross
 from fisherhash.datasets import label_matrix, write_json
 from fisherhash.evaluation import MetricsReport, RankedResult, average_precision, relevance_matrix
 from fisherhash.exceptions import DataError
@@ -122,6 +123,29 @@ def reference_pair_loss_full(u, label_sets, margin, block=256):
             z = s * d + margin
             total += float(((np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))) * np.abs(s)).sum())
     return total
+
+
+def reference_code_pair_loss(b, set_of, meet, margin):
+    """code_pair_loss as it was before it counted (code, label set) patterns.
+
+    It builds the dense (distinct code x label set) item-count matrix C
+    and counts, per Hamming distance h between the distinct codes, all
+    pairs from the code counts and the similar pairs from C meet C',
+    in one block of every code.
+    """
+    groups = b.groups()
+    n_codes, n_sets = groups.codes.n, len(meet)
+    c = np.bincount(groups.code_of * n_sets + set_of, minlength=n_codes * n_sets)
+    c = c.reshape(n_codes, n_sets).astype(np.float64)
+    counts = groups.counts.astype(np.float64)
+    meet_f = meet.astype(np.float64)
+    h = hamming_cross(groups.codes, groups.codes).ravel()
+    every = np.bincount(h, np.outer(counts, counts).ravel(), b.K + 1)
+    similar = np.bincount(h, (c @ meet_f @ c.T).ravel(), b.K + 1)
+    every[0] -= b.n
+    similar[0] -= meet.diagonal()[set_of].sum()
+    d = np.arange(b.K + 1) - b.K / 2
+    return 0.5 * float(similar @ loss_similar(d, margin) + (every - similar) @ loss_dissimilar(d, margin))
 
 
 # ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fisherhash.binary_codes import (
     BinaryCodeMatrix,
+    code_patterns,
     dissimilarity,
     hamming_cross,
     hamming_distance,
@@ -325,6 +327,25 @@ class TestGroups:
         assert sub.groups() is not m.groups()
         assert sub.groups().code_of.tolist() == [1, 0]
         assert m.column(1).groups().counts.tolist() == [1]
+
+
+class TestCodePatterns:
+    @pytest.mark.parametrize("k, n, n_codes", [
+        (1, 60, 2), (64, 300, 7), (65, 300, 7), (12, 1, 1), (64, 40, 1),
+    ])
+    def test_matches_counter(self, k, n, n_codes):
+        # n_codes = 1 with n > 1 is a table that is all one code.
+        rng = np.random.default_rng(k + n)
+        protos = rng.choice([-1, 1], size=(k, n_codes))
+        b = BinaryCodeMatrix.from_signs(protos[:, rng.integers(0, n_codes, n)])
+        set_of = rng.integers(0, 5, n)
+        code, label_set, counts = code_patterns(b, set_of)
+        words = b.groups().codes.take(code).words
+        got = {(w.tobytes(), s): c for w, s, c in zip(words, label_set.tolist(), counts.tolist())}
+        assert len(got) == len(code)
+        assert got == Counter(zip((w.tobytes() for w in b.words), set_of.tolist()))
+        assert counts.sum() == n
+        assert np.array_equal(np.lexsort((label_set, code)), np.arange(len(code)))
 
 
 class TestHammingCross:

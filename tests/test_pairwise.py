@@ -22,7 +22,12 @@ from fisherhash.pairwise import (
     sign_matrix,
 )
 
-from oracles import per_pair_gradient, per_pair_objective, reference_pair_loss_full
+from oracles import (
+    per_pair_gradient,
+    per_pair_objective,
+    reference_code_pair_loss,
+    reference_pair_loss_full,
+)
 
 # Frozen via 40-digit evaluation (mpmath) of log(1 + exp(.)).
 LOG2 = 0.6931471805599453
@@ -384,8 +389,9 @@ def code_instances(draw):
     """Codes of K in {1, 12, 64, 65} bits for 1 to 400 items, all on one
     code, on a few codes or on distinct codes (as many as K allows);
     single-label or overlapping multi-label sets from a few classes, so
-    sets are shared across codes; a margin in [0, 3]; and a row block
-    that holds every distinct code, divides them or leaves a ragged end."""
+    sets are shared across codes, or from 21 classes, so many sets share
+    a code; a margin in [0, 3]; and a row count that holds every distinct
+    code, divides them or leaves a ragged end."""
     k = draw(st.sampled_from([1, 12, 64, 65]))
     n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 400)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -398,7 +404,7 @@ def code_instances(draw):
         pool = rng.integers(0, 2, (k, 1 if spread == "one" else draw(st.integers(2, 6))))
         signs = pool[:, rng.integers(0, pool.shape[1], n)]
     b = BinaryCodeMatrix.from_signs(2 * signs - 1)
-    classes = draw(st.integers(1, 6))
+    classes = draw(st.one_of(st.integers(1, 6), st.just(21)))
     most = draw(st.sampled_from([1, min(3, classes)]))
     label_sets = [frozenset(int(c) for c in rng.choice(classes, rng.integers(1, most + 1), replace=False))
                   for _ in range(n)]
@@ -420,13 +426,19 @@ class TestCodePairLoss:
         want = reference_pair_loss_full(dense_signs(b), label_sets, m)
         assert got == pytest.approx(want, rel=1e-12)
         # The pair counts are exact integers, so the row blocks change no
-        # bit: one block of every code, and a bound of a few entries, which
-        # gives one code per block.
+        # bit, and neither does counting patterns rather than filling the
+        # reference's dense (code x label set) matrix: bounds of rows x
+        # codes and of codes x codes entries, one block of every pattern
+        # (b.n squared), and a few entries, one pattern per block.
         with mock.patch.object(pairwise, "_BLOCK_ENTRIES", n_codes * n_codes):
             one_block = _code_loss(b, label_sets, m)
+        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", b.n * b.n):
+            one_pattern_block = _code_loss(b, label_sets, m)
         with mock.patch.object(pairwise, "_BLOCK_ENTRIES", 3):
             one_row_blocks = _code_loss(b, label_sets, m)
-        assert got == one_block == one_row_blocks
+        sets, set_of = distinct_label_sets(label_sets)
+        old = reference_code_pair_loss(b, set_of, relevance_matrix(sets, sets), m)
+        assert got == one_block == one_pattern_block == one_row_blocks == old
 
     def test_three_items_by_hand(self):
         # K = 2, codes ++, +-, --; labels {0}, {0, 1}, {1}; m = 1.  Pairs
@@ -454,3 +466,24 @@ class TestCodePairLoss:
                 tracemalloc.stop()
         one_matrix = n * n * 8
         assert peak < one_matrix / 8
+
+    def test_multi_label_scratch_is_not_codes_by_label_sets(self):
+        # 2,000 distinct 64-bit codes with 1-3 of 21 labels each, about
+        # 760 label sets, in blocks of 50 rows: no array is sized
+        # codes x label sets, as a dense item-count matrix of them would be.
+        rng = np.random.default_rng(1)
+        n = 2000
+        b = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(64, n)))
+        assert b.groups().codes.n == n
+        label_sets = [frozenset(int(c) for c in rng.choice(21, rng.integers(1, 4), replace=False))
+                      for _ in range(n)]
+        n_sets = len(set(label_sets))
+        assert n_sets > 700
+        with mock.patch.object(pairwise, "_BLOCK_ENTRIES", 50 * n):
+            tracemalloc.start()
+            try:
+                _code_loss(b, label_sets, 1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < n * n_sets * 8 / 2
