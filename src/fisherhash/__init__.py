@@ -19,7 +19,7 @@ from .centers import (
 )
 from .datasets import Dataset, DatasetManifest, load_dataset, load_manifest, make_synthetic
 from .encoder import EncoderSpec, EncoderState, forward, init_state, load_checkpoint, save_checkpoint
-from .evaluation import MetricsReport, average_precision, metrics_report, search
+from .evaluation import MetricsReport, metrics_report, search
 from .exceptions import ConfigError, DataError, FisherHashError, NumericalError
 from .pairwise import MarginParams, PairSets, loss_dissimilar, loss_similar
 from .training import HyperParams, TrainReport, train
@@ -41,7 +41,6 @@ __all__ = [
     "NumericalError",
     "PairSets",
     "TrainReport",
-    "average_precision",
     "dissimilarity",
     "forward",
     "hamming_distance",

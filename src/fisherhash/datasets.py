@@ -358,6 +358,10 @@ def make_synthetic(
         raise ValueError("need at least 2 classes")
     if not 0 <= query_fraction < 1:
         raise ValueError("query_fraction must be in [0, 1)")
+    n_query = int(round(query_fraction * per_class))
+    if n_query >= per_class:
+        raise ValueError(f"query_fraction {query_fraction} of {per_class} items per class "
+                         "leaves a class no training items")
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(dim, classes))
     directions /= np.linalg.norm(directions, axis=0, keepdims=True)
@@ -365,7 +369,6 @@ def make_synthetic(
     n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)
     features = means[:, labels] + rng.normal(size=(dim, n))
-    n_query = int(round(query_fraction * per_class))
     query, rest = [], []
     for c in range(classes):
         idx = np.nonzero(labels == c)[0]

@@ -63,13 +63,6 @@ class EncoderState:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def copy(self) -> "EncoderState":
-        return EncoderState(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
-
 
 def init_state(spec: EncoderSpec) -> EncoderState:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""

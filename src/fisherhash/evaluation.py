@@ -92,27 +92,9 @@ def search(queries: BinaryCodeMatrix, database: BinaryCodeMatrix, k: int) -> lis
             for q, row in enumerate(_code_distances(queries, database))]
 
 
-def average_precision(flags, r_total: int) -> float:
-    """AP over a truncated ranked 0/1 relevance list.
-
-    Normalizes by min(r_total, list length): the number of relevant
-    items that could have been retrieved within the truncation.
-    """
-    flags = np.asarray(flags)
-    if flags.size == 0:
-        raise ValueError("empty ranked list")
-    if r_total < 1:
-        raise ValueError(f"r_total must be >= 1, got {r_total}")
-    hits = np.nonzero(flags)[0]
-    if hits.size == 0:
-        return 0.0
-    precisions = (np.arange(hits.size) + 1.0) / (hits + 1.0)
-    return float(precisions.sum() / min(r_total, flags.size))
-
-
 def _ap_at(ranks: np.ndarray, k: int, r_total: int) -> float:
-    """average_precision of a ranking cut at k, from the ascending 0-based
-    ranks of its relevant items; ranks from k on are ignored."""
+    """AP of a ranking cut at k, normalized by min(r_total, k), from the
+    ascending 0-based ranks of its relevant items; ranks from k on are ignored."""
     hits = int(np.searchsorted(ranks, k))
     if not hits:
         return 0.0

@@ -122,18 +122,6 @@ class PairSets:
     def count(self) -> int:
         return len(self.similar) + len(self.dissimilar)
 
-    @classmethod
-    def all_pairs_from_label_sets(cls, label_sets) -> "PairSets":
-        """Every unordered pair, similar iff the items share a label."""
-        n = len(label_sets)
-        sim, dis = [], []
-        for i in range(n):
-            li = label_sets[i]
-            for j in range(i + 1, n):
-                (sim if li & label_sets[j] else dis).append((i, j))
-        return cls(np.asarray(sim, dtype=np.int64).reshape(-1, 2),
-                   np.asarray(dis, dtype=np.int64).reshape(-1, 2))
-
 
 def _as_pairs(pairs) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -147,25 +135,18 @@ def _as_pairs(pairs) -> np.ndarray:
     return pairs
 
 
-def sign_matrix(pairs, n: int) -> np.ndarray:
-    """Symmetric N x N pair-sign matrix of PairSets or of a given matrix.
+def sign_matrix(pairs: PairSets, n: int) -> np.ndarray:
+    """Symmetric N x N pair-sign matrix of PairSets.
 
     +1 marks a similar pair, -1 a dissimilar pair and 0 no pair,
-    including the diagonal.  A matrix passed in is checked, not copied.
+    including the diagonal.
     """
-    if isinstance(pairs, PairSets):
-        pairs.validate_against(n)
-        s = np.zeros((n, n))
-        s[pairs.similar[:, 0], pairs.similar[:, 1]] = 1.0
-        s[pairs.similar[:, 1], pairs.similar[:, 0]] = 1.0
-        s[pairs.dissimilar[:, 0], pairs.dissimilar[:, 1]] = -1.0
-        s[pairs.dissimilar[:, 1], pairs.dissimilar[:, 0]] = -1.0
-        return s
-    s = np.asarray(pairs, dtype=np.float64)
-    if s.shape != (n, n):
-        raise ValueError(f"sign matrix shape {s.shape} does not match ({n}, {n})")
-    if not ((s == 0.0) | (np.abs(s) == 1.0)).all() or (s != s.T).any() or s.diagonal().any():
-        raise ValueError("sign matrix must be symmetric with entries in {-1, 0, 1} and a zero diagonal")
+    pairs.validate_against(n)
+    s = np.zeros((n, n))
+    s[pairs.similar[:, 0], pairs.similar[:, 1]] = 1.0
+    s[pairs.similar[:, 1], pairs.similar[:, 0]] = 1.0
+    s[pairs.dissimilar[:, 0], pairs.dissimilar[:, 1]] = -1.0
+    s[pairs.dissimilar[:, 1], pairs.dissimilar[:, 0]] = -1.0
     return s
 
 
@@ -185,7 +166,7 @@ def _pair_coef(d: np.ndarray, s: np.ndarray, m: float) -> np.ndarray:
     return coef
 
 
-def _pair_inputs(u, b, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_inputs(u, b, pairs: PairSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u and the codes b as K x N float arrays, and the sign matrix of pairs."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
@@ -196,8 +177,8 @@ def _pair_inputs(u, b, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, bd, sign_matrix(pairs, u.shape[1])
 
 
-def pair_objective(u: np.ndarray, b, pairs, params: MarginParams) -> float:
-    """Sum of pair losses on u plus psi * sum_i ||u_i - b_i||^2; pairs as in sign_matrix."""
+def pair_objective(u: np.ndarray, b, pairs: PairSets, params: MarginParams) -> float:
+    """Sum of pair losses on u over pairs plus psi * sum_i ||u_i - b_i||^2."""
     u, bd, s = _pair_inputs(u, b, pairs)
     s = np.triu(s, 1)
     d = -0.5 * (u.T @ u)
@@ -206,13 +187,13 @@ def pair_objective(u: np.ndarray, b, pairs, params: MarginParams) -> float:
     return params.psi * float(((u - bd) ** 2).sum()) + loss
 
 
-def pair_gradient(u: np.ndarray, b, pairs, params: MarginParams) -> np.ndarray:
+def pair_gradient(u: np.ndarray, b, pairs: PairSets, params: MarginParams) -> np.ndarray:
     """Gradient of pair_objective with respect to u, shaped like u.
 
     A similar pair (i, j) contributes -1/2 sigma(D_ij + m) u_j to
     column i (and symmetrically to column j); a dissimilar pair
     contributes +1/2 sigma(-D_ij + m) u_j.  The discrepancy term adds
-    2 psi (u_i - b_i) per column.  pairs as in sign_matrix.
+    2 psi (u_i - b_i) per column.
     """
     u, bd, s = _pair_inputs(u, b, pairs)
     coef = _pair_coef(-0.5 * (u.T @ u), s, params.m)

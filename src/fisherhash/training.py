@@ -27,9 +27,8 @@ from .binary_codes import BinaryCodeMatrix
 from .centers import init_centers, target_matrix, update_centers, update_codes
 from .datasets import Dataset, check_number, distinct_label_sets, relevance_matrix, write_json
 from .evaluation import metrics_report
-from .exceptions import NumericalError
-from .pairwise import MarginParams, code_pair_loss, loss_dissimilar, loss_similar, pair_loss_full
-from .pairwise import pair_gradient
+from .exceptions import DataError, NumericalError
+from .pairwise import _pair_coef, code_pair_loss, loss_dissimilar, loss_similar, pair_loss_full
 
 # Each ablation variant and the weights it sets to 0; the variants stack.
 ABLATIONS = {"pair": ("mu", "nu"), "pair+intra": ("nu",), "full": ()}
@@ -146,17 +145,18 @@ def continuous_step_gradient(u: np.ndarray, b: np.ndarray, s: np.ndarray, hp: Hy
     """Gradient in U for one minibatch of the continuous phase.
 
     b holds the batch's codes as a dense K x n sign matrix and s its
-    pair signs (see pairwise.sign_matrix), which pair_gradient checks.
-    Pair losses are averaged over the pair count and the quantization
-    pull over the item count, decoupling the step size from the batch
-    size; with mu = nu = 0 and margin 0 this is exactly the classical
-    pairwise logistic step with a quantization penalty.
+    pair signs, symmetric with a zero diagonal (see pairwise.sign_matrix);
+    the pair part is pairwise.pair_gradient's with psi = 0.  Pair
+    losses are averaged over the pair count and the quantization pull
+    over the item count, decoupling the step size from the batch size;
+    with mu = nu = 0 and margin 0 this is exactly the classical pairwise
+    logistic step with a quantization penalty.
     """
     n = u.shape[1]
     grad = 2.0 * (u - b) / n
     count = np.count_nonzero(s) // 2
     if hp.phi > 0 and count:
-        pair_part = pair_gradient(u, b, s, MarginParams(m=hp.margin, psi=0.0))
+        pair_part = u @ _pair_coef(-0.5 * (u.T @ u), s, hp.margin)
         grad = grad + hp.phi * pair_part / count
     return grad
 
@@ -197,8 +197,12 @@ def train(
         )
     t_start = time.perf_counter()
     train_idx = dataset.split("train")
-    x = dataset.features[:, train_idx]
     label_sets = dataset.subset_labels(train_idx)
+    missing = set(range(dataset.num_classes)).difference(*label_sets)
+    if missing:  # an empty split misses every class
+        what = f"has no item of class {min(missing)}" if label_sets else "is empty"
+        raise DataError(f"dataset {dataset.name!r}: the train split {what}")
+    x = dataset.features[:, train_idx]
     y = centers_mod.check_label_matrix(dataset.y_matrix(train_idx))
     yyt = y @ y.T
     sets, set_of = distinct_label_sets(label_sets)

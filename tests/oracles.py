@@ -8,9 +8,9 @@ import numpy as np
 
 from fisherhash.binary_codes import hamming_cross
 from fisherhash.datasets import label_matrix, write_json
-from fisherhash.evaluation import MetricsReport, RankedResult, average_precision, relevance_matrix
+from fisherhash.evaluation import MetricsReport, RankedResult, relevance_matrix
 from fisherhash.exceptions import DataError
-from fisherhash.pairwise import loss_dissimilar, loss_similar
+from fisherhash.pairwise import PairSets, loss_dissimilar, loss_similar
 
 
 def enumerate_codes(k):
@@ -74,6 +74,18 @@ def stable_sigmoid(x):
 
 def _pair_dissimilarities(u, pairs):
     return -0.5 * np.einsum("kp,kp->p", u[:, pairs[:, 0]], u[:, pairs[:, 1]])
+
+
+def all_pairs(label_sets):
+    """Every unordered pair (i, j), i < j, as PairSets: similar iff the items share a label."""
+    n = len(label_sets)
+    sim, dis = [], []
+    for i in range(n):
+        li = label_sets[i]
+        for j in range(i + 1, n):
+            (sim if li & label_sets[j] else dis).append((i, j))
+    return PairSets(np.asarray(sim, dtype=np.int64).reshape(-1, 2),
+                    np.asarray(dis, dtype=np.int64).reshape(-1, 2))
 
 
 def per_pair_objective(u, b_dense, pairs, m, psi):
@@ -161,6 +173,24 @@ def reference_hamming_cross(a, b):
         raise ValueError(f"code length mismatch: {a.K} vs {b.K}")
     diff = a.words[:, None, :] ^ b.words[None, :, :]
     return np.bitwise_count(diff).sum(axis=-1, dtype=np.int64)
+
+
+def average_precision(flags, r_total: int) -> float:
+    """AP over a truncated ranked 0/1 relevance list.
+
+    Normalizes by min(r_total, list length): the number of relevant
+    items that could have been retrieved within the truncation.
+    """
+    flags = np.asarray(flags)
+    if flags.size == 0:
+        raise ValueError("empty ranked list")
+    if r_total < 1:
+        raise ValueError(f"r_total must be >= 1, got {r_total}")
+    hits = np.nonzero(flags)[0]
+    if hits.size == 0:
+        return 0.0
+    precisions = (np.arange(hits.size) + 1.0) / (hits + 1.0)
+    return float(precisions.sum() / min(r_total, flags.size))
 
 
 def _ranked_distances(queries, database):

@@ -5,6 +5,7 @@ on success).  Tolerances and runtime budgets are asserted inline.
 """
 
 import contextlib
+import copy
 import hashlib
 import json
 import time
@@ -172,7 +173,7 @@ def test_criterion_04_encoder_backprop():
                 for arr, grad in ((state.weights[li], wg[li]), (state.biases[li], bg[li])):
                     it = np.ndindex(*arr.shape)
                     for pos in it:
-                        up, dn = state.copy(), state.copy()
+                        up, dn = copy.deepcopy(state), copy.deepcopy(state)
                         tgt_up = up.weights[li] if arr is state.weights[li] else up.biases[li]
                         tgt_dn = dn.weights[li] if arr is state.weights[li] else dn.biases[li]
                         tgt_up[pos] += step

@@ -232,6 +232,36 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == code
 
+    @pytest.mark.parametrize("train_split, message", [
+        ([], "the train split is empty"),
+        ([0, 2, 4], "the train split has no item of class 1"),
+    ], ids=["empty-split", "one-class-split"])
+    def test_train_split_without_every_class_exits_3(self, tmp_path, capsys, train_split,
+                                                      message):
+        write_features(tmp_path / "x.fhft", np.random.default_rng(0).normal(size=(4, 8)))
+        write_labels(tmp_path / "y.txt", [{i % 2} for i in range(8)])
+        save_manifest(DatasetManifest(
+            name="toy", feature_path="x.fhft", label_path="y.txt", input_dim=4, n_items=8,
+            num_classes=2, splits={"train": train_split, "query": [6, 7]},
+        ), tmp_path / "manifest.json")
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_train_config(cfg_path, epochs=1)
+        cfg["dataset"] = {"manifest": "manifest.json"}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (data)") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_query_fraction_leaving_no_training_items_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_train_config(cfg_path, epochs=1, per_class=2)
+        cfg["dataset"]["synthetic"]["query_fraction"] = 0.8
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (config)") and "no training items" in err
+
     @pytest.mark.parametrize("target, corrupt", [
         ("manifest.json", "non-utf8"),
         ("manifest.json", "directory"),

@@ -1,3 +1,4 @@
+import copy
 import struct
 import tracemalloc
 
@@ -32,14 +33,14 @@ def fd_param_grads(state, x, step=1e-6):
     for li in range(len(state.weights)):
         gw = np.zeros_like(state.weights[li])
         for pos in np.ndindex(*gw.shape):
-            up, dn = state.copy(), state.copy()
+            up, dn = copy.deepcopy(state), copy.deepcopy(state)
             up.weights[li][pos] += step
             dn.weights[li][pos] -= step
             gw[pos] = (probe_loss(up, x) - probe_loss(dn, x)) / (2 * step)
         wgrads.append(gw)
         gb = np.zeros_like(state.biases[li])
         for pos in range(gb.size):
-            up, dn = state.copy(), state.copy()
+            up, dn = copy.deepcopy(state), copy.deepcopy(state)
             up.biases[li][pos] += step
             dn.biases[li][pos] -= step
             gb[pos] = (probe_loss(up, x) - probe_loss(dn, x)) / (2 * step)

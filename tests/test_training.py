@@ -28,6 +28,7 @@ from fisherhash.training import (
     write_loss_curves,
 )
 
+from oracles import all_pairs
 from test_pairwise import _full_loss
 
 
@@ -89,7 +90,7 @@ class TestJointObjective:
         labels = rng.integers(0, m, size=n)
         y = np.zeros((m, n))
         y[labels, np.arange(n)] = 1.0
-        pairs = PairSets.all_pairs_from_label_sets([frozenset({int(c_)}) for c_ in labels])
+        pairs = all_pairs([frozenset({int(c_)}) for c_ in labels])
         hp = HyperParams(bits=k, epochs=0, phi=0.7, mu=1.3, nu=0.2, margin=1.0)
         pair = pair_objective(u, b, pairs, MarginParams(m=1.0, psi=0.0))
         intra = intra_loss(b, c, y)
@@ -129,7 +130,7 @@ class TestPairLossFull:
         n = 37
         u = rng.normal(size=(6, n))
         label_sets = [frozenset({int(c)}) for c in rng.integers(0, 4, size=n)]
-        pairs = PairSets.all_pairs_from_label_sets(label_sets)
+        pairs = all_pairs(label_sets)
         want = pair_objective(u, np.zeros((6, n)), pairs, MarginParams(m=1.5, psi=0.0))
         with mock.patch.object(pairwise, "_GRAM_BLOCK", 8):
             got = _full_loss(u, label_sets, 1.5)
@@ -145,7 +146,7 @@ class TestContinuousStepGradient:
         u = rng.normal(size=(4, n))
         signs = rng.choice([-1, 1], size=(4, n))
         label_sets = [frozenset({int(c)}) for c in rng.integers(0, 3, size=n)]
-        pairs = PairSets.all_pairs_from_label_sets(label_sets)
+        pairs = all_pairs(label_sets)
         hp = HyperParams(bits=4, epochs=1, phi=0.8, mu=0.0, nu=0.0, margin=0.0)
         got = continuous_step_gradient(u, signs.astype(float), sign_matrix(pairs, n), hp)
         classical = (
@@ -182,7 +183,7 @@ class TestContinuousStepGradient:
             sets, set_of = distinct_label_sets(label_sets)
             s = np.where(relevance_matrix(sets, sets)[np.ix_(set_of, set_of)], 1.0, -1.0)
             np.fill_diagonal(s, 0.0)
-            pairs = PairSets.all_pairs_from_label_sets(label_sets)
+            pairs = all_pairs(label_sets)
             assert np.array_equal(s, sign_matrix(pairs, n))
             if case == "one-class":
                 assert pairs.dissimilar.size == 0
@@ -343,6 +344,17 @@ class TestTrain:
             assert not np.signbit(got).any(where=got == 0)
         assert any((s == 1).any() and (s == -1).any() for s in want)
 
+    def test_minibatch_step_builds_no_pair_api_inputs(self):
+        # The step reads train's sign matrix as it is: no minibatch builds
+        # or checks a sign matrix, or makes a MarginParams.
+        ds = self.dataset()
+        with mock.patch.object(pairwise, "sign_matrix", wraps=sign_matrix) as signs, \
+                mock.patch.object(MarginParams, "__post_init__", autospec=True,
+                                  side_effect=MarginParams.__post_init__) as params:
+            report = train(ds, tiny_hp(epochs=2), self.spec(ds))
+        assert len(report.records) == 2
+        assert (signs.call_count, params.call_count) == (0, 0)
+
     def test_zero_epochs_gives_untrained_sign_codes(self, tmp_path):
         ds = self.dataset()
         hp = tiny_hp(epochs=0)
@@ -387,7 +399,7 @@ class TestTrain:
         cents = BinaryCodeMatrix.load(tmp_path / "centers.fhsh")
         train_idx = ds.split("train")
         u, _ = forward(state, ds.features[:, train_idx])
-        pairs = PairSets.all_pairs_from_label_sets(ds.subset_labels(train_idx))
+        pairs = all_pairs(ds.subset_labels(train_idx))
         y = ds.y_matrix(train_idx)
         pair = pair_objective(u, codes, pairs, MarginParams(m=hp.margin, psi=0.0))
         intra = intra_loss(codes, cents, y)
