@@ -120,9 +120,8 @@ class Dataset:
     def subset_labels(self, indices) -> list:
         return [self.label_sets[i] for i in indices]
 
-    def y_matrix(self, indices=None) -> np.ndarray:
-        sets = self.label_sets if indices is None else self.subset_labels(indices)
-        return label_matrix(sets, self.num_classes)
+    def y_matrix(self, indices) -> np.ndarray:
+        return label_matrix(self.subset_labels(indices), self.num_classes)
 
 
 def write_features(path, features: np.ndarray) -> None:

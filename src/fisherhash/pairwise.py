@@ -122,6 +122,18 @@ class PairSets:
     def count(self) -> int:
         return len(self.similar) + len(self.dissimilar)
 
+    @classmethod
+    def all_pairs_from_label_sets(cls, label_sets) -> "PairSets":
+        """Every unordered pair, similar iff the items share a label."""
+        n = len(label_sets)
+        sim, dis = [], []
+        for i in range(n):
+            li = label_sets[i]
+            for j in range(i + 1, n):
+                (sim if li & label_sets[j] else dis).append((i, j))
+        return cls(np.asarray(sim, dtype=np.int64).reshape(-1, 2),
+                   np.asarray(dis, dtype=np.int64).reshape(-1, 2))
+
 
 def _as_pairs(pairs) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)

@@ -141,22 +141,28 @@ class TrainReport:
         }
 
 
+def pair_gradient(u: np.ndarray, s: np.ndarray, m: float) -> np.ndarray:
+    """pairwise.pair_gradient with psi = 0 on a ready pair-sign matrix s: the pair
+    part of a minibatch step, which perfbench traces under this name."""
+    return u @ _pair_coef(-0.5 * (u.T @ u), s, m)
+
+
 def continuous_step_gradient(u: np.ndarray, b: np.ndarray, s: np.ndarray, hp: HyperParams) -> np.ndarray:
     """Gradient in U for one minibatch of the continuous phase.
 
     b holds the batch's codes as a dense K x n sign matrix and s its
-    pair signs, symmetric with a zero diagonal (see pairwise.sign_matrix);
-    the pair part is pairwise.pair_gradient's with psi = 0.  Pair
-    losses are averaged over the pair count and the quantization pull
-    over the item count, decoupling the step size from the batch size;
-    with mu = nu = 0 and margin 0 this is exactly the classical pairwise
-    logistic step with a quantization penalty.
+    pair signs, symmetric with a zero diagonal (see pairwise.sign_matrix),
+    which are used unchecked.  Pair losses are averaged over the pair
+    count and the quantization pull over the item count, decoupling the
+    step size from the batch size; with mu = nu = 0 and margin 0 this is
+    exactly the classical pairwise logistic step with a quantization
+    penalty.
     """
     n = u.shape[1]
     grad = 2.0 * (u - b) / n
     count = np.count_nonzero(s) // 2
     if hp.phi > 0 and count:
-        pair_part = u @ _pair_coef(-0.5 * (u.T @ u), s, hp.margin)
+        pair_part = pair_gradient(u, s, hp.margin)
         grad = grad + hp.phi * pair_part / count
     return grad
 

@@ -10,7 +10,7 @@ from fisherhash.binary_codes import hamming_cross
 from fisherhash.datasets import label_matrix, write_json
 from fisherhash.evaluation import MetricsReport, RankedResult, relevance_matrix
 from fisherhash.exceptions import DataError
-from fisherhash.pairwise import PairSets, loss_dissimilar, loss_similar
+from fisherhash.pairwise import loss_dissimilar, loss_similar
 
 
 def enumerate_codes(k):
@@ -74,18 +74,6 @@ def stable_sigmoid(x):
 
 def _pair_dissimilarities(u, pairs):
     return -0.5 * np.einsum("kp,kp->p", u[:, pairs[:, 0]], u[:, pairs[:, 1]])
-
-
-def all_pairs(label_sets):
-    """Every unordered pair (i, j), i < j, as PairSets: similar iff the items share a label."""
-    n = len(label_sets)
-    sim, dis = [], []
-    for i in range(n):
-        li = label_sets[i]
-        for j in range(i + 1, n):
-            (sim if li & label_sets[j] else dis).append((i, j))
-    return PairSets(np.asarray(sim, dtype=np.int64).reshape(-1, 2),
-                    np.asarray(dis, dtype=np.int64).reshape(-1, 2))
 
 
 def per_pair_objective(u, b_dense, pairs, m, psi):

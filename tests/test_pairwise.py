@@ -23,7 +23,6 @@ from fisherhash.pairwise import (
 )
 
 from oracles import (
-    all_pairs,
     per_pair_gradient,
     per_pair_objective,
     reference_code_pair_loss,
@@ -145,7 +144,7 @@ class TestPairSets:
 
     def test_from_label_sets(self):
         sets = [frozenset({0}), frozenset({0, 1}), frozenset({2})]
-        pairs = all_pairs(sets)
+        pairs = PairSets.all_pairs_from_label_sets(sets)
         assert pairs.similar.tolist() == [[0, 1]]
         assert pairs.dissimilar.tolist() == [[0, 2], [1, 2]]
 
@@ -229,7 +228,7 @@ def pair_instances(draw):
                                               replace=False))
         for _ in range(n)
     ]
-    every = all_pairs(label_sets)
+    every = PairSets.all_pairs_from_label_sets(label_sets)
     keep = draw(st.floats(0.0, 1.0))
     pairs = PairSets(every.similar[rng.random(len(every.similar)) < keep],
                      every.dissimilar[rng.random(len(every.dissimilar)) < keep])

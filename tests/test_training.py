@@ -28,7 +28,6 @@ from fisherhash.training import (
     write_loss_curves,
 )
 
-from oracles import all_pairs
 from test_pairwise import _full_loss
 
 
@@ -90,7 +89,7 @@ class TestJointObjective:
         labels = rng.integers(0, m, size=n)
         y = np.zeros((m, n))
         y[labels, np.arange(n)] = 1.0
-        pairs = all_pairs([frozenset({int(c_)}) for c_ in labels])
+        pairs = PairSets.all_pairs_from_label_sets([frozenset({int(c_)}) for c_ in labels])
         hp = HyperParams(bits=k, epochs=0, phi=0.7, mu=1.3, nu=0.2, margin=1.0)
         pair = pair_objective(u, b, pairs, MarginParams(m=1.0, psi=0.0))
         intra = intra_loss(b, c, y)
@@ -130,7 +129,7 @@ class TestPairLossFull:
         n = 37
         u = rng.normal(size=(6, n))
         label_sets = [frozenset({int(c)}) for c in rng.integers(0, 4, size=n)]
-        pairs = all_pairs(label_sets)
+        pairs = PairSets.all_pairs_from_label_sets(label_sets)
         want = pair_objective(u, np.zeros((6, n)), pairs, MarginParams(m=1.5, psi=0.0))
         with mock.patch.object(pairwise, "_GRAM_BLOCK", 8):
             got = _full_loss(u, label_sets, 1.5)
@@ -146,7 +145,7 @@ class TestContinuousStepGradient:
         u = rng.normal(size=(4, n))
         signs = rng.choice([-1, 1], size=(4, n))
         label_sets = [frozenset({int(c)}) for c in rng.integers(0, 3, size=n)]
-        pairs = all_pairs(label_sets)
+        pairs = PairSets.all_pairs_from_label_sets(label_sets)
         hp = HyperParams(bits=4, epochs=1, phi=0.8, mu=0.0, nu=0.0, margin=0.0)
         got = continuous_step_gradient(u, signs.astype(float), sign_matrix(pairs, n), hp)
         classical = (
@@ -183,7 +182,7 @@ class TestContinuousStepGradient:
             sets, set_of = distinct_label_sets(label_sets)
             s = np.where(relevance_matrix(sets, sets)[np.ix_(set_of, set_of)], 1.0, -1.0)
             np.fill_diagonal(s, 0.0)
-            pairs = all_pairs(label_sets)
+            pairs = PairSets.all_pairs_from_label_sets(label_sets)
             assert np.array_equal(s, sign_matrix(pairs, n))
             if case == "one-class":
                 assert pairs.dissimilar.size == 0
@@ -399,7 +398,7 @@ class TestTrain:
         cents = BinaryCodeMatrix.load(tmp_path / "centers.fhsh")
         train_idx = ds.split("train")
         u, _ = forward(state, ds.features[:, train_idx])
-        pairs = all_pairs(ds.subset_labels(train_idx))
+        pairs = PairSets.all_pairs_from_label_sets(ds.subset_labels(train_idx))
         y = ds.y_matrix(train_idx)
         pair = pair_objective(u, codes, pairs, MarginParams(m=hp.margin, psi=0.0))
         intra = intra_loss(codes, cents, y)
