@@ -33,7 +33,8 @@ from .datasets import (
     write_labels,
 )
 from .encoder import EncoderSpec, forward, load_checkpoint
-from .evaluation import format_rows, metrics_report, search, write_metrics_csv, write_metrics_json
+from .evaluation import (_CHUNK_ROWS, format_rows, metrics_report, search,
+                         write_metrics_csv, write_metrics_json)
 from .exceptions import ConfigError, DataError, NumericalError
 from .training import ABLATIONS, HyperParams, train, write_loss_curves
 
@@ -278,12 +279,15 @@ def cmd_query(args) -> int:
                "queries": str(args.queries), "k": args.k}
     with _output(args, payload) as (stage, _):
         results = search(queries, db_codes, k=args.k)
-        table = np.column_stack([np.repeat([res.query for res in results], args.k),
-                                 np.tile(np.arange(1, args.k + 1), len(results)),
-                                 np.concatenate([res.indices for res in results]),
-                                 np.concatenate([res.distances for res in results])])
-        (stage / "results.csv").write_text(
-            "query,rank,item,distance\n" + format_rows("%d,%d,%d,%d\n", table), encoding="utf-8")
+        per_chunk = max(1, _CHUNK_ROWS // args.k)  # whole queries per chunk of rows
+        with open(stage / "results.csv", "w", encoding="utf-8") as fh:
+            fh.write("query,rank,item,distance\n")
+            for part in (results[s:s + per_chunk] for s in range(0, len(results), per_chunk)):
+                table = np.column_stack([np.repeat([res.query for res in part], args.k),
+                                         np.tile(np.arange(1, args.k + 1), len(part)),
+                                         np.concatenate([res.indices for res in part]),
+                                         np.concatenate([res.distances for res in part])])
+                fh.writelines(format_rows("%d,%d,%d,%d\n", table))
     print(f"wrote top-{args.k} results for {queries.n} queries to "
           f"{Path(args.out) / 'results.csv'}")
     return EXIT_OK
@@ -492,6 +496,8 @@ def main(argv=None) -> int:
         # Every command accepts --threads; no result depends on it, since ranking is single-threaded.
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if getattr(args, "classes", 1) < 1:  # index and eval, before any file is read
+            raise ConfigError(f"--classes must be >= 1, got {args.classes}")
         return handler(args)
     except ConfigError as exc:
         _report_error(args, exc, "config")

@@ -290,13 +290,14 @@ def metrics_report(
     )
 
 
-def format_rows(row: str, table, sep: str = "") -> str:
-    """The text of `sep.join(row % tuple(r) for r in table)`, made by one
-    `%` per chunk of _CHUNK_ROWS rows against the template repeated, so
-    no object is made per row."""
+def format_rows(row: str, table, sep: str = "", columns=slice(None)):
+    """Yield `sep.join(row % tuple(r[columns]) for r in table)` chunk by
+    chunk: one `%` per _CHUNK_ROWS rows against the template repeated, so
+    no object is made per row; every chunk after the first starts with sep."""
     table = np.asarray(table)
-    chunks = np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS))
-    return sep.join([sep.join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks])
+    for start in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[start:start + _CHUNK_ROWS, columns]
+        yield (sep if start else "") + sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def write_metrics_csv(report: MetricsReport, out_dir) -> dict:
@@ -315,7 +316,9 @@ def write_metrics_csv(report: MetricsReport, out_dir) -> dict:
     paths = {}
     for name, (head, line, rows) in tables.items():
         paths[name] = out / f"{name}.csv"
-        paths[name].write_text(head + format_rows(line, rows), encoding="utf-8")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(head)
+            fh.writelines(format_rows(line, rows))
     return paths
 
 
@@ -332,11 +335,11 @@ def write_metrics_json(report: MetricsReport, path) -> None:
     """Write report.json indented and key-sorted, as every JSON artifact is.
 
     The header goes through json.dumps with a placeholder per row table,
-    and the rows are formatted with float repr, as json formats finite
-    floats.  json writes NaN and Infinity where repr gives nan and inf;
-    neither string occurs in a row's keys (n, precision, recall, radius)
-    or in the repr of a finite float, so they are replaced in the rows'
-    text.
+    and is written up to each placeholder in turn, then that table's rows,
+    formatted with float repr, as json formats finite floats.  json
+    writes NaN and Infinity where repr gives nan and inf; neither string
+    occurs in a row's keys (n, precision, recall, radius) or in the repr
+    of a finite float, so they are replaced in each chunk of whole rows.
     """
     header = {
         "config_hash": report.config_hash,
@@ -344,11 +347,14 @@ def write_metrics_json(report: MetricsReport, path) -> None:
         "n_database": report.n_database,
         "map": {str(k): v for k, v in report.map_at.items()},
     }
-    tables = {"top_n": report.top_n, "pr_radius": report.pr_radius}
+    tables = {"pr_radius": report.pr_radius, "top_n": report.top_n}  # in sort_keys order
     text = json.dumps({**header, **{k: "\0" + k for k in tables}}, indent=2, sort_keys=True)
-    for key, table in tables.items():
-        row, columns = _JSON_ROWS[key]
-        body = format_rows(row, table[:, columns], ",\n")
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-        text = text.replace(json.dumps("\0" + key), f"[\n{body}\n  ]" if body else "[]", 1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, table in tables.items():
+            head, text = text.split(json.dumps("\0" + key), 1)
+            row, columns = _JSON_ROWS[key]
+            fh.write(head + ("[\n" if len(table) else "[]"))
+            fh.writelines(chunk.replace("nan", "NaN").replace("inf", "Infinity")
+                          for chunk in format_rows(row, table, ",\n", columns))
+            fh.write("\n  ]" if len(table) else "")
+        fh.write(text + "\n")

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,11 +527,13 @@ class TestEncodeIndexQuery:
         assert got == (tmp_path / "want.csv").read_bytes()
         assert len(got.splitlines()) == 1 + 7 * 80
 
-    @pytest.mark.parametrize("n_queries, k", [(3, 1365), (16, 256), (17, 241)],
+    @pytest.mark.parametrize("n_queries, k", [(2, 1365), (16, 256), (17, 241)],
                              ids=["chunk-1", "chunk", "chunk+1"])
     def test_results_csv_across_a_chunk_seam(self, tmp_path, n_queries, k):
-        # 4,095, 4,096 and 4,097 result lines against 4,096-row chunks.
-        assert n_queries * k - evaluation._CHUNK_ROWS in (-1, 0, 1)
+        # results.csv is written in chunks of max(1, 4,096 // k) whole
+        # queries: 3, 16 and 16 here.  The queries end one query short of a
+        # seam, exactly on it, and one query past it.
+        assert n_queries - max(1, evaluation._CHUNK_ROWS // k) in (-1, 0, 1)
         rng = np.random.default_rng(k)
         protos = rng.choice([-1, 1], size=(10, 6))
         db = BinaryCodeMatrix.from_signs(protos[:, rng.integers(0, 6, size=1400)])
@@ -548,6 +551,29 @@ class TestEncodeIndexQuery:
         got = (tmp_path / "q" / "results.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert len(got.splitlines()) == 1 + n_queries * k
+
+    def test_query_peaks_below_the_size_of_results_csv(self, tmp_path, monkeypatch):
+        # 2,000 queries at k = 100; the ranking is done before tracing starts.
+        rng = np.random.default_rng(2000)
+        db = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(16, 200)))
+        queries = BinaryCodeMatrix.from_signs(rng.choice([-1, 1], size=(16, 2000)))
+        db.save(tmp_path / "db.fhsh")
+        queries.save(tmp_path / "q.fhsh")
+        write_labels(tmp_path / "db_labels.txt", [{0}] * db.n)
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "1", "--out", str(tmp_path / "index")) == 0
+        ready = evaluation.search(queries, db, 100)
+        monkeypatch.setattr("fisherhash.cli.search", lambda *args, **kwargs: ready)
+        tracemalloc.start()
+        try:
+            assert run_cli("query", "--index", str(tmp_path / "index"),
+                           "--queries", str(tmp_path / "q.fhsh"),
+                           "--k", "100", "--out", str(tmp_path / "q")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "q" / "results.csv").stat().st_size
 
     @pytest.mark.parametrize("command, flag", [
         ("eval", "--db-codes"),
@@ -743,6 +769,34 @@ class TestFlagsPerCommand:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestClassesFlag:
+    @pytest.mark.parametrize("classes", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["index", "eval"])
+    def test_classes_below_one_exits_2(self, tmp_path, capsys, command, classes):
+        # The label files are valid for --classes 3.
+        write_eval_fixture(tmp_path)
+        argv = {
+            "index": ["--codes", str(tmp_path / "db.fhsh"),
+                      "--labels", str(tmp_path / "db_labels.txt")],
+            "eval": ["--db-codes", str(tmp_path / "db.fhsh"),
+                     "--db-labels", str(tmp_path / "db_labels.txt"),
+                     "--query-codes", str(tmp_path / "q.fhsh"),
+                     "--query-labels", str(tmp_path / "q_labels.txt")],
+        }[command]
+        assert run_cli(command, *argv, "--classes", classes, "--out", str(tmp_path / "o")) == 2
+        assert f"--classes must be >= 1, got {classes}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_classes_is_checked_before_any_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert run_cli("index", "--codes", missing, "--labels", missing,
+                       "--classes", "0", "--out", str(tmp_path / "o")) == 2
+        assert run_cli("eval", "--db-codes", missing, "--db-labels", missing,
+                       "--query-codes", missing, "--query-labels", missing,
+                       "--classes", "0", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.count("--classes must be >= 1") == 2
 
 
 class TestEvalCommand:
@@ -1002,6 +1056,32 @@ class TestCrashSafety:
         monkeypatch.setattr("fisherhash.cli.write_metrics_json", fail_after_csv)
         self.fails_leaving_out_as_it_was(
             tmp_path, out, lambda: eval_into(tmp_path, out, "--ks", "1", "--force"))
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_failure_mid_stream_leaves_the_previous_result(self, tmp_path, monkeypatch, command):
+        write_eval_fixture(tmp_path)
+        assert run_cli("index", "--codes", str(tmp_path / "db.fhsh"),
+                       "--labels", str(tmp_path / "db_labels.txt"),
+                       "--classes", "3", "--out", str(tmp_path / "index")) == 0
+        out = tmp_path / "out"
+
+        def run():
+            if command == "eval":
+                return eval_into(tmp_path, out, "--force")
+            return run_cli("query", "--index", str(tmp_path / "index"),
+                           "--queries", str(tmp_path / "q.fhsh"),
+                           "--k", "5", "--out", str(out), "--force")
+
+        assert run() == 0
+        format_rows = evaluation.format_rows
+
+        def first_chunk_then_disk_full(*args, **kwargs):
+            yield next(format_rows(*args, **kwargs))
+            disk_full()
+
+        for module in ("fisherhash.evaluation", "fisherhash.cli"):
+            monkeypatch.setattr(f"{module}.format_rows", first_chunk_then_disk_full)
+        self.fails_leaving_out_as_it_was(tmp_path, out, run)
 
     @pytest.mark.parametrize("forced", [False, True], ids=["fresh", "force"])
     def test_train_failure_after_checkpoint_and_codes(self, tmp_path, monkeypatch, forced):

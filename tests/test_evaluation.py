@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +12,7 @@ from fisherhash import evaluation
 from fisherhash.binary_codes import BinaryCodeMatrix, hamming_cross
 from fisherhash.evaluation import (
     MetricsReport,
+    format_rows,
     metrics_report,
     relevance_matrix,
     search,
@@ -450,6 +452,49 @@ class TestWritersAgainstOracle:
             reference_write_metrics_json(report, tmp_path / "want.json")
             write_metrics_json(report, tmp_path / "got.json")
             assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def traced_peak(write, *args) -> int:
+    """Peak bytes that Python allocates while write(*args) runs."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedWriters:
+    """The writers hold one chunk of rows at a time, never a whole table's text."""
+
+    def test_one_chunk_per_item_and_sep_before_each_later_chunk(self):
+        table = np.arange(2 * evaluation._CHUNK_ROWS + 1)[:, None] * [1, 2]
+        chunks = list(format_rows("%d,%d", table, "\n"))
+        assert len(chunks) == 3
+        assert not chunks[0].startswith("\n")
+        assert all(c.startswith("\n") for c in chunks[1:])
+        assert "".join(chunks) == "\n".join("%d,%d" % tuple(r) for r in table)
+        assert "".join(format_rows("%d,%d", table[:, ::-1], columns=[1, 0])) == \
+            "".join(format_rows("%d,%d", table))
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        # The benchmark eval's shape: 50,000 rows of precision and recall at N.
+        rng = np.random.default_rng(50)
+        return MetricsReport(
+            map_at={100: 0.75, 50_000: 0.5},
+            top_n=np.column_stack([np.arange(1.0, 50_001), rng.random((50_000, 2))]),
+            pr_radius=np.column_stack([np.arange(65.0), rng.random((65, 2))]),
+            n_queries=1000, n_database=50_000, config_hash="abc",
+        )
+
+    def test_json_writer_peaks_below_the_file_size(self, tmp_path, report):
+        peak = traced_peak(write_metrics_json, report, tmp_path / "report.json")
+        assert peak < (tmp_path / "report.json").stat().st_size
+
+    def test_csv_writer_peaks_below_the_size_of_prn_csv(self, tmp_path, report):
+        peak = traced_peak(write_metrics_csv, report, tmp_path)
+        assert peak < (tmp_path / "prn.csv").stat().st_size
 
 
 class TestPureRowHits:
