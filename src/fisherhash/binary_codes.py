@@ -52,13 +52,14 @@ class CodeGroups(NamedTuple):
     items: np.ndarray
 
 
-def code_patterns(b: "BinaryCodeMatrix", set_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """b's distinct (code, label set) patterns, by code then set: each one's code, an
-    index into b.groups().codes, its set id from set_of, and its item count."""
+def code_patterns(b: "BinaryCodeMatrix", set_of: np.ndarray) -> tuple[np.ndarray, ...]:
+    """b's distinct (code, label set) patterns, by code then set: each one's code, an index into
+    b.groups().codes, its set id from set_of, its item count and first item; and each item's pattern."""
     n_sets = int(set_of.max()) + 1
-    keys, counts = np.unique(b.groups().code_of * n_sets + set_of, return_counts=True)
+    keys, first, pattern, counts = np.unique(b.groups().code_of * n_sets + set_of, return_index=True,
+                                             return_inverse=True, return_counts=True)
     code, label_set = np.divmod(keys, n_sets)
-    return code, label_set, counts
+    return code, label_set, counts, first, pattern
 
 
 class BinaryCodeMatrix:
@@ -223,11 +224,6 @@ def dense_signs(b) -> np.ndarray:
     return b.dense(np.float64) if isinstance(b, BinaryCodeMatrix) else np.asarray(b, dtype=np.float64)
 
 
-def _require_same_k(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> None:
-    if a.K != b.K:
-        raise ValueError(f"code length mismatch: {a.K} vs {b.K}")
-
-
 def hamming_cross(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> np.ndarray:
     """All-pairs Hamming distances, shape (a.n, b.n), via XOR popcount.
 
@@ -235,7 +231,8 @@ def hamming_cross(a: BinaryCodeMatrix, b: BinaryCodeMatrix) -> np.ndarray:
     K <= 255, uint16 above), which lets numpy radix-sort the distances.
     Widen before doing arithmetic that can leave [0, K].
     """
-    _require_same_k(a, b)
+    if a.K != b.K:
+        raise ValueError(f"code length mismatch: {a.K} vs {b.K}")
     dist = np.zeros((a.n, b.n), dtype=np.min_scalar_type(a.K))
     for w in range(a.words.shape[1]):
         dist += np.bitwise_count(a.words[:, None, w] ^ b.words[None, :, w])

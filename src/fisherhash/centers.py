@@ -96,7 +96,7 @@ def _gram_gradient(v, g, by, a, mu, nu, eta) -> np.ndarray:
 
 def update_centers(
     v: np.ndarray, b, y: np.ndarray, a: np.ndarray,
-    mu: float, nu: float, eta: float, lr: float, steps: int, g: np.ndarray | None = None,
+    mu: float, nu: float, eta: float, lr: float, steps: int,
 ) -> tuple[np.ndarray, BinaryCodeMatrix]:
     """Descend the relaxed centers V, then quantize to binary centers.
 
@@ -107,21 +107,18 @@ def update_centers(
     lengths and class counts.  The sign pattern in the eta term is
     re-evaluated every step but treated as constant within it.  B and Y
     enter only through the Grams Y Y^T and B Y^T, summed over the N items
-    once per call, so a step costs O(K M^2), not O(K M N); a caller that
-    passes g = Y Y^T vouches for Y, which is then neither checked nor
-    summed again.  Returns the new V and C = sgn(V).
+    once per call, so a step costs O(K M^2), not O(K M N).  Returns the
+    new V and C = sgn(V).
     """
     v = np.asarray(v, dtype=np.float64).copy()
     bd = dense_signs(b)
-    if g is None:
-        y = check_label_matrix(y)
-        g = y @ y.T
+    y = check_label_matrix(y)
     k, m = v.shape
     if bd.shape[0] != k or y.shape != (m, bd.shape[1]):
         raise ValueError(
             f"inconsistent shapes: V {v.shape}, B {bd.shape}, Y {y.shape}"
         )
-    by = bd @ y.T
+    g, by = y @ y.T, bd @ y.T
     mu = mu / bd.shape[1]
     nu = nu / (k * m)
     # Divergence is detected and raised explicitly, so transient

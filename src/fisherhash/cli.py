@@ -254,7 +254,8 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _load_index(path) -> tuple[BinaryCodeMatrix, list, int]:
+def _load_index(path) -> BinaryCodeMatrix:
+    """The index's codes, once its index.json and labels.txt check out."""
     idx_dir = Path(path)
     meta_path = idx_dir / "index.json"
     if not meta_path.exists():
@@ -263,15 +264,15 @@ def _load_index(path) -> tuple[BinaryCodeMatrix, list, int]:
     if type(classes) is not int:
         raise DataError(f"{meta_path}: needs an integer 'classes' field")
     codes = BinaryCodeMatrix.load(idx_dir / "codes.fhsh")
-    label_sets = load_labels(idx_dir / "labels.txt", num_classes=classes, n_items=codes.n)
-    return codes, label_sets, classes
+    load_labels(idx_dir / "labels.txt", num_classes=classes, n_items=codes.n)
+    return codes
 
 
 # ----------------------------------------------------------------- query
 
 
 def cmd_query(args) -> int:
-    db_codes, _, _ = _load_index(args.index)
+    db_codes = _load_index(args.index)
     queries = BinaryCodeMatrix.load(args.queries)
     if queries.K != db_codes.K:
         raise DataError(f"{args.queries}: {queries.K}-bit codes, but the index has {db_codes.K}")
@@ -431,26 +432,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[common], help="train encoder, codes, centers")
+    def command(name, handler, help_text):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("train", cmd_train, "train encoder, codes, centers")
     p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--seed", type=int, help="override hyper.seed")
 
-    p = sub.add_parser("encode", parents=[common], help="encode features with a checkpoint")
+    p = command("encode", cmd_encode, "encode features with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
 
-    p = sub.add_parser("index", parents=[common], help="bundle codes and labels into an index")
+    p = command("index", cmd_index, "bundle codes and labels into an index")
     p.add_argument("--codes", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--name", default="index")
 
-    p = sub.add_parser("query", parents=[common], help="top-k Hamming search against an index")
+    p = command("query", cmd_query, "top-k Hamming search against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="retrieval metrics for code tables")
+    p = command("eval", cmd_eval, "retrieval metrics for code tables")
     p.add_argument("--db-codes", required=True)
     p.add_argument("--db-labels", required=True)
     p.add_argument("--query-codes", required=True)
@@ -458,27 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--ks", default="1,10,100")
 
-    p = sub.add_parser("ablate", parents=[common], help="run loss-component ablations")
+    p = command("ablate", cmd_ablate, "run loss-component ablations")
     p.add_argument("--config", required=True, help="JSON configuration file")
 
-    p = sub.add_parser("curves", parents=[common], help="emit margin loss curves")
+    p = command("curves", cmd_curves, "emit margin loss curves")
     p.add_argument("--margins", default="0,1,2")
     p.add_argument("--d-min", type=float, default=-8.0)
     p.add_argument("--d-max", type=float, default=8.0)
     p.add_argument("--points", type=int, default=161)
 
     return parser
-
-
-_HANDLERS = {
-    "train": cmd_train,
-    "encode": cmd_encode,
-    "index": cmd_index,
-    "query": cmd_query,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "curves": cmd_curves,
-}
 
 
 def _report_error(args, exc: Exception, kind: str) -> None:
@@ -491,14 +486,13 @@ def _report_error(args, exc: Exception, kind: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
         # Every command accepts --threads; no result depends on it, since ranking is single-threaded.
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if getattr(args, "classes", 1) < 1:  # index and eval, before any file is read
             raise ConfigError(f"--classes must be >= 1, got {args.classes}")
-        return handler(args)
+        return args.handler(args)
     except ConfigError as exc:
         _report_error(args, exc, "config")
         return EXIT_CONFIG

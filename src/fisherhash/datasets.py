@@ -120,9 +120,6 @@ class Dataset:
     def subset_labels(self, indices) -> list:
         return [self.label_sets[i] for i in indices]
 
-    def y_matrix(self, indices) -> np.ndarray:
-        return label_matrix(self.subset_labels(indices), self.num_classes)
-
 
 def write_features(path, features: np.ndarray) -> None:
     """FHFT header (dim, N) then one f32 record of dim values per item."""
@@ -345,7 +342,6 @@ def make_synthetic(
     separation: float,
     seed: int,
     query_fraction: float = 0.1,
-    name: str = "synthetic",
 ) -> Dataset:
     """Gaussian blobs: class means on a sphere of radius `separation`,
     unit isotropic noise.  Deterministic for a fixed seed.
@@ -379,7 +375,7 @@ def make_synthetic(
         "query": np.array(query, dtype=np.int64),
     }
     return Dataset(
-        name=name,
+        name="synthetic",
         features=features,
         label_sets=[frozenset({int(c)}) for c in labels],
         num_classes=classes,

@@ -184,14 +184,9 @@ def metrics_report(
     groups = database.groups()
     # The database's (code, label set) patterns and their item counts
     # give the relevant items at each distance.
-    pair_code, pair_set, pair_counts = code_patterns(database, db_pid)
-    # A query's scored row depends only on its code words and its
-    # distinct label set, its pattern.
-    keys = np.column_stack([queries.words, q_pid.astype(np.uint64)])
-    _, first, pattern, left = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    pattern = pattern.ravel()
+    pair_code, pair_set, pair_counts, _, _ = code_patterns(database, db_pid)
+    # A query's scored row depends only on its (code, label set) pattern.
+    _, _, left, first, pattern = code_patterns(queries, q_pid)
     ranked = np.sort(first)
 
     rows = _code_distances(queries.take(ranked), database)

@@ -254,7 +254,7 @@ def code_pair_loss(b: BinaryCodeMatrix, set_of: np.ndarray, meet: np.ndarray, ma
     self-pairs at h = 0 are taken out, and softplus is evaluated on the
     K + 1 values of D only.  All counts are exact integers.
     """
-    code, label_set, counts = code_patterns(b, set_of)
+    code, label_set, counts, _, _ = code_patterns(b, set_of)
     patterns = b.groups().codes.take(code)
     weights = counts.astype(np.float64)
     keyed = np.zeros(2 * (b.K + 1))

@@ -25,8 +25,9 @@ from . import centers as centers_mod
 from . import encoder as encoder_mod
 from .binary_codes import BinaryCodeMatrix
 from .centers import init_centers, target_matrix, update_centers, update_codes
-from .datasets import Dataset, check_number, distinct_label_sets, relevance_matrix, write_json
-from .evaluation import metrics_report
+from .datasets import (Dataset, check_number, distinct_label_sets, label_matrix, relevance_matrix,
+                       write_json)
+from .evaluation import format_rows, metrics_report
 from .exceptions import DataError, NumericalError
 from .pairwise import _pair_coef, code_pair_loss, loss_dissimilar, loss_similar, pair_loss_full
 
@@ -167,14 +168,14 @@ def continuous_step_gradient(u: np.ndarray, b: np.ndarray, s: np.ndarray, hp: Hy
     return grad
 
 
-def _discrete_phase(u_full, y, yyt, v, hp: HyperParams, a):
-    """Re-quantize codes, then alternate center descent / code update (yyt = y y^T)."""
+def _discrete_phase(u_full, y, v, hp: HyperParams, a):
+    """Re-quantize codes, then alternate center descent / code update."""
     b = BinaryCodeMatrix.from_values(u_full)
     if v is None:
         v = init_centers(u_full, y)
     for _ in range(hp.center_rounds):
         v, c = update_centers(v, b, y, a, hp.mu, hp.nu, hp.eta,
-                              hp.center_inner_lr, hp.center_inner_steps, yyt)
+                              hp.center_inner_lr, hp.center_inner_steps)
         b = update_codes(u_full, c, y, hp.mu)
     return b, c, v
 
@@ -209,8 +210,7 @@ def train(
         what = f"has no item of class {min(missing)}" if label_sets else "is empty"
         raise DataError(f"dataset {dataset.name!r}: the train split {what}")
     x = dataset.features[:, train_idx]
-    y = centers_mod.check_label_matrix(dataset.y_matrix(train_idx))
-    yyt = y @ y.T
+    y = label_matrix(label_sets, dataset.num_classes)
     sets, set_of = distinct_label_sets(label_sets)
     meet = relevance_matrix(sets, sets, dataset.num_classes)
     signs = np.where(meet, 1.0, -1.0)
@@ -247,7 +247,7 @@ def train(
             u_full, _ = encoder_mod.forward(state, x)
         if not np.isfinite(u_full).all():
             raise NumericalError(f"non-finite representations after epoch {epoch}")
-        b, c, v = _discrete_phase(u_full, y, yyt, v, hp, a)
+        b, c, v = _discrete_phase(u_full, y, v, hp, a)
 
         record = EpochRecord(
             epoch, code_pair_loss(b, set_of, meet, hp.margin), centers_mod.intra_loss(b, c, y),
@@ -335,5 +335,4 @@ def write_loss_curves(path, m_values, d_min: float = -8.0, d_max: float = 8.0, p
     rows = loss_curve_rows(m_values, d_min, d_max, points)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("D,m,loss_similar,loss_dissimilar\n")
-        for d, m, ls, ld in rows:
-            fh.write(f"{d!r},{m!r},{ls!r},{ld!r}\n")
+        fh.writelines(format_rows("%r,%r,%r,%r\n", rows))

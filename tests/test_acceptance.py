@@ -17,7 +17,8 @@ import pytest
 from fisherhash.binary_codes import BinaryCodeMatrix, hamming_distance, pack
 from fisherhash.centers import center_gradient, sign_plus, target_matrix, update_codes
 from fisherhash.cli import main as cli_main
-from fisherhash.datasets import make_synthetic
+from fisherhash.datasets import (DatasetManifest, make_synthetic, save_manifest, write_features,
+                                 write_labels)
 from fisherhash.encoder import EncoderSpec, backward, forward, init_state
 from fisherhash.evaluation import metrics_report, search
 from fisherhash.pairwise import MarginParams, PairSets, pair_gradient, pair_objective
@@ -247,6 +248,42 @@ def test_criterion_06_ablation_direction(tmp_path):
         assert full - pair >= 0.01, f"gap {full - pair:.4f} below 0.01"
         elapsed = time.perf_counter() - t0
         assert elapsed < 600.0, f"took {elapsed:.1f}s"
+
+
+def test_multi_label_ablation_direction(tmp_path):
+    # Criterion 6's order on a NUS-WIDE-shaped set: 21 classes, 1-3
+    # labels per item, features the sum of the item's class means plus
+    # noise, and a held-out query split, read through a manifest.
+    rng = np.random.default_rng(7)
+    means = rng.normal(size=(32, 21))
+    label_sets = [rng.choice(21, size=rng.integers(1, 4), replace=False) for _ in range(2300)]
+    features = np.stack([means[:, s].sum(axis=1) for s in label_sets], axis=1)
+    features += rng.normal(size=(32, 2300))
+    write_features(tmp_path / "features.fhft", features)
+    write_labels(tmp_path / "labels.txt", [{int(c) for c in s} for s in label_sets])
+    save_manifest(DatasetManifest(
+        name="multi", feature_path="features.fhft", label_path="labels.txt",
+        input_dim=32, n_items=2300, num_classes=21,
+        splits={"train": np.arange(2000), "query": np.arange(2000, 2300)},
+    ), tmp_path / "manifest.json")
+    cfg = {
+        "dataset": {"manifest": "manifest.json"},
+        "hyper": {
+            "bits": 12, "epochs": 20, "batch_size": 64, "lr": 0.05,
+            "phi": 2.0, "mu": 1.0, "nu": 1.0, "eta": 0.2, "margin": 1.0,
+            "center_inner_lr": 0.05, "center_inner_steps": 30, "center_rounds": 3,
+        },
+        "encoder": {"hidden_layers": [[64, "relu"]]},
+        "ablate": {"seeds": [0, 1, 2]},
+    }
+    (tmp_path / "ablate.json").write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "ablation"
+    assert cli_main(["ablate", "--config", str(tmp_path / "ablate.json"), "--out", str(out)]) == 0
+    medians = json.loads((out / "summary.json").read_text())["medians"]
+    full, intra, pair = medians["full"], medians["pair+intra"], medians["pair"]
+    print(f"  multi-label medians: pair={pair:.4f}  +intra={intra:.4f}  full={full:.4f}")
+    assert full >= intra >= pair, f"ordering violated: {medians}"
+    assert full - pair >= 0.01, f"gap {full - pair:.4f} below 0.01"
 
 
 def test_criterion_07_loss_curves(tmp_path):

@@ -339,13 +339,33 @@ class TestCodePatterns:
         protos = rng.choice([-1, 1], size=(k, n_codes))
         b = BinaryCodeMatrix.from_signs(protos[:, rng.integers(0, n_codes, n)])
         set_of = rng.integers(0, 5, n)
-        code, label_set, counts = code_patterns(b, set_of)
+        code, label_set, counts, _, _ = code_patterns(b, set_of)
         words = b.groups().codes.take(code).words
         got = {(w.tobytes(), s): c for w, s, c in zip(words, label_set.tolist(), counts.tolist())}
         assert len(got) == len(code)
         assert got == Counter(zip((w.tobytes() for w in b.words), set_of.tolist()))
         assert counts.sum() == n
         assert np.array_equal(np.lexsort((label_set, code)), np.arange(len(code)))
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+    def test_matches_the_row_unique_of_words_and_set_ids(self, k):
+        # The oracle is metrics_report's former query grouping: np.unique
+        # over the rows of (code words, set id), which orders by words
+        # then set id and numbers the patterns in that order.
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            n, n_codes = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+            protos = rng.choice([-1, 1], size=(k, n_codes))
+            b = BinaryCodeMatrix.from_signs(protos[:, rng.integers(0, n_codes, n)])
+            ids = rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
+            set_of = rng.choice(ids, size=n)  # set ids with gaps
+            _, _, counts, first, pattern = code_patterns(b, set_of)
+            _, want_first, want_pattern, want_counts = np.unique(
+                np.column_stack([b.words, set_of.astype(np.uint64)]), axis=0,
+                return_index=True, return_inverse=True, return_counts=True)
+            assert np.array_equal(counts, want_counts)
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(pattern, want_pattern.ravel())
 
 
 class TestHammingCross:

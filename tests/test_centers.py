@@ -205,6 +205,17 @@ class TestUpdateCenters:
             update_centers(v, b, y, target_matrix(4, 2),
                            mu=1.0, nu=5.0, eta=0.0, lr=1e6, steps=200)
 
+    @pytest.mark.parametrize("y, match", [
+        (np.array([[1.5, 1.0, 0.0], [-0.5, 0.0, 1.0]]), ">= 0"),
+        (np.array([[1.0, 0.5, 0.0], [0.0, 0.4, 1.0]]), "column 1 sums to"),
+    ], ids=["negative-entry", "column-sum"])
+    def test_rejects_a_bad_label_matrix(self, y, match):
+        # Each call checks the Y it sums into Y Y^T and B Y^T.
+        b = BinaryCodeMatrix.from_signs(np.ones((4, 3)))
+        with pytest.raises(ValueError, match=match):
+            update_centers(np.ones((4, 2)), b, y, target_matrix(4, 2),
+                           mu=1.0, nu=0.1, eta=0.5, lr=1e-2, steps=1)
+
     def test_duplicating_every_item_leaves_the_descent_unchanged(self):
         # The mu term is divided by the item count, so stacking every
         # column of B and Y twice doubles the pull and halves its weight.

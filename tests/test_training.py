@@ -3,19 +3,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fisherhash import centers as centers_mod
 from fisherhash import pairwise, training
 from fisherhash.binary_codes import BinaryCodeMatrix, dense_signs
 from fisherhash.centers import (
-    check_label_matrix,
     inter_loss,
     intra_loss,
     quant_loss,
     target_matrix,
-    update_centers,
     update_codes,
 )
-from fisherhash.datasets import Dataset, distinct_label_sets, make_synthetic, relevance_matrix
+from fisherhash.datasets import (Dataset, distinct_label_sets, label_matrix, make_synthetic,
+                                 relevance_matrix)
 from fisherhash.encoder import EncoderSpec, forward, load_checkpoint
 from fisherhash.pairwise import MarginParams, PairSets, pair_gradient, pair_objective, sign_matrix
 from fisherhash.training import (
@@ -282,31 +280,6 @@ class TestTrain:
         train(ds, tiny_hp(epochs=epochs), self.spec(ds))
         assert len(seen) == calls
 
-    @pytest.mark.parametrize("epochs", [1, 3])
-    def test_labels_checked_and_summed_once_per_run(self, monkeypatch, epochs):
-        # Every center descent of a run reads one Y Y^T; Y is checked by
-        # train and by init_centers only, however many descents there are.
-        checks, grams = [], []
-
-        def check_spy(y):
-            checks.append(y.shape)
-            return check_label_matrix(y)
-
-        def descent_spy(*args):
-            grams.append(args[-1])
-            return update_centers(*args)
-
-        monkeypatch.setattr(centers_mod, "check_label_matrix", check_spy)
-        monkeypatch.setattr(training, "update_centers", descent_spy)
-        ds = self.dataset()
-        hp = tiny_hp(epochs=epochs)
-        train(ds, hp, self.spec(ds))
-        assert len(checks) == 2
-        assert len(grams) == epochs * hp.center_rounds
-        y = ds.y_matrix(ds.split("train"))
-        assert all(g is grams[0] for g in grams)
-        np.testing.assert_array_equal(grams[0], y @ y.T)
-
     def test_minibatch_sign_matrices_are_c_ordered_meet_table_rows(self, monkeypatch):
         # Multi-label sets, some meeting without being equal, and a ragged last batch.
         rng = np.random.default_rng(6)
@@ -399,7 +372,7 @@ class TestTrain:
         train_idx = ds.split("train")
         u, _ = forward(state, ds.features[:, train_idx])
         pairs = PairSets.all_pairs_from_label_sets(ds.subset_labels(train_idx))
-        y = ds.y_matrix(train_idx)
+        y = label_matrix(ds.subset_labels(train_idx), ds.num_classes)
         pair = pair_objective(u, codes, pairs, MarginParams(m=hp.margin, psi=0.0))
         intra = intra_loss(codes, cents, y)
         inter = inter_loss(cents, target_matrix(hp.bits, y.shape[0]))
